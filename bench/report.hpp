@@ -1,21 +1,32 @@
 // Machine-readable bench reporting — the BENCH_*.json perf trajectory.
 //
-// Both bench_kernels and bench_query_throughput accept `--json <file>` and
-// emit one JSON object: the bench name, the SIMD dispatch that was active,
-// and a flat list of records (bench name, string params, measured value +
-// unit, ISA, thread count). Committed snapshots (BENCH_5.json, ...) are an
-// array of these objects, one per harness, so successive PRs can diff
-// throughput without re-parsing console tables.
+// bench_kernels, bench_query_throughput, bench_serve_throughput and
+// bench_table6_medium accept `--json <file>` and emit one JSON object: the
+// bench name, the SIMD dispatch that was active, the host facts that tell
+// a slow machine from a regression (core count, CPU model, build type,
+// the per-core L2 size the device sizes its launches by), and a flat list
+// of records (bench name, string params, measured value + unit, ISA,
+// thread count). Committed snapshots (BENCH_5.json, ...) are an array of
+// these objects, one per harness, so successive PRs can diff throughput
+// without re-parsing console tables.
 #pragma once
 
 #include <cstdio>
 #include <ctime>
+#include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "gosh/common/simd.hpp"
+#include "gosh/simt/device.hpp"
+
+// CMake passes the configuration the benches were built in.
+#ifndef GOSH_BUILD_TYPE
+#define GOSH_BUILD_TYPE "unknown"
+#endif
 
 namespace gosh::bench {
 
@@ -90,6 +101,21 @@ inline std::string utc_timestamp() {
   return buffer;
 }
 
+/// The "model name" of the first CPU in /proc/cpuinfo; "unknown" where
+/// there is none.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t begin = line.find_first_not_of(' ', colon + 1);
+    return begin == std::string::npos ? std::string() : line.substr(begin);
+  }
+  return "unknown";
+}
+
 /// Writes the report object; false (with a stderr diagnostic) on IO error.
 /// `run_id` (optional) tags the report with the sweep it belongs to; the
 /// timestamp is stamped unconditionally.
@@ -111,6 +137,12 @@ inline bool write_report(const std::string& path, std::string_view bench,
   std::fprintf(out, "  \"timestamp\": \"%s\",\n", utc_timestamp().c_str());
   std::fprintf(out, "  \"isa_active\": \"%s\",\n",
                std::string(simd::isa_name(simd::active_isa())).c_str());
+  std::fprintf(out,
+               "  \"host\": {\"hardware_concurrency\": %u, \"cpu_model\": "
+               "\"%s\", \"build_type\": \"%s\", \"l2_bytes\": %zu},\n",
+               std::thread::hardware_concurrency(),
+               json_escape(cpu_model()).c_str(),
+               json_escape(GOSH_BUILD_TYPE).c_str(), simt::core_l2_bytes());
   std::fprintf(out, "  \"records\": [");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];

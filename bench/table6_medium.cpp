@@ -3,7 +3,13 @@
 // (LINE-on-device, fast/slow) and GOSH (fast/normal/slow/NoCoarse).
 //
 //   bench_table6_medium [--medium-scale N] [--dim D] [--datasets a,b,...]
-//                       [--epoch-scale PCT]
+//                       [--epoch-scale PCT] [--json FILE] [--run-id ID]
+//
+// With --json, every GOSH row adds records to a bench report (report.hpp):
+// wall seconds, process CPU seconds, trained samples per CPU-second, AUC
+// and the train seconds of each level. A sample is one positive or
+// negative update: passes x |V| x (1 + ns) on a resident level, rotations
+// x B x K x |V| x (1 + ns) on a partitioned one.
 //
 // Every row is produced through the gosh::api facade: each tool is just a
 // backend name in the registry plus an Options tweak, so adding a method
@@ -15,11 +21,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -30,7 +38,33 @@ struct Row {
   double seconds = 0.0;
   double auc = 0.0;
   bool failed = false;
+  double cpu_seconds = 0.0;
+  double samples = 0.0;
+  std::vector<double> level_seconds;
 };
+
+double process_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
+}
+
+/// Positive plus negative updates one embed trained (see the header).
+double trained_samples(const api::EmbedResult& result,
+                       const api::Options& options) {
+  const double per_positive = 1.0 + options.train().negative_samples;
+  double samples = 0.0;
+  for (const embedding::LevelReport& level : result.levels) {
+    const double positives =
+        level.used_large_graph_path
+            ? static_cast<double>(level.rotations) *
+                  options.gosh.large_graph.batch_B * level.partitions *
+                  level.vertices
+            : static_cast<double>(level.passes) * level.vertices;
+    samples += positives * per_positive;
+  }
+  return samples;
+}
 
 void print_rows(const std::vector<Row>& rows) {
   // Speedups are relative to the VERSE row; if it failed there is no
@@ -59,17 +93,68 @@ void print_rows(const std::vector<Row>& rows) {
 /// (the paper's GraphVite rows on devices it does not fit).
 Row measure(const std::string& label, const api::Options& options,
             const graph::LinkPredictionSplit& split) {
+  const double cpu_before = process_cpu_seconds();
   auto embedded = api::embed(split.train, options);
+  const double cpu_seconds = process_cpu_seconds() - cpu_before;
   if (!embedded.ok()) {
     std::fprintf(stderr, "  %s: %s\n", label.c_str(),
                  embedded.status().to_string().c_str());
-    return {label, 0.0, 0.0, true};
+    Row failed;
+    failed.label = label;
+    failed.failed = true;
+    return failed;
   }
-  const double seconds = embedded.value().total_seconds;
+  const api::EmbedResult& result = embedded.value();
   const auto report = eval::evaluate_link_prediction(
-      embedded.value().embedding, split,
+      result.embedding, split,
       api::bench_eval_options(split.train.num_edges_undirected()));
-  return {label, seconds, report.auc_roc};
+  Row row;
+  row.label = label;
+  row.seconds = result.total_seconds;
+  row.auc = report.auc_roc;
+  row.cpu_seconds = cpu_seconds;
+  row.samples = trained_samples(result, options);
+  for (const embedding::LevelReport& level : result.levels) {
+    row.level_seconds.push_back(level.train_seconds);
+  }
+  return row;
+}
+
+/// The --json records of one dataset's GOSH rows.
+void add_records(const std::string& dataset, unsigned scale, unsigned dim,
+                 const std::vector<Row>& rows,
+                 std::vector<bench::Record>& records) {
+  const std::string isa(simd::isa_name(simd::active_isa()));
+  const unsigned threads = std::thread::hardware_concurrency();
+  for (const Row& row : rows) {
+    if (row.failed || row.label.rfind("Gosh-", 0) != 0) continue;
+    auto record = [&](const char* metric, double value, const char* unit,
+                      const std::vector<std::pair<std::string, std::string>>&
+                          extra = {}) {
+      bench::Record r;
+      r.name = std::string("table6/") + metric;
+      r.params = {{"dataset", dataset},
+                  {"scale", std::to_string(scale)},
+                  {"dim", std::to_string(dim)},
+                  {"algorithm", row.label}};
+      r.params.insert(r.params.end(), extra.begin(), extra.end());
+      r.value = value;
+      r.unit = unit;
+      r.isa = isa;
+      r.threads = threads;
+      records.push_back(std::move(r));
+    };
+    record("wall_s", row.seconds, "s");
+    record("cpu_s", row.cpu_seconds, "s");
+    record("samples_per_cpu_s",
+           row.cpu_seconds > 0.0 ? row.samples / row.cpu_seconds : 0.0,
+           "1/s");
+    record("auc", row.auc, "ratio");
+    for (std::size_t level = 0; level < row.level_seconds.size(); ++level) {
+      record("level_train_s", row.level_seconds[level], "s",
+             {{"level", std::to_string(level)}});
+    }
+  }
 }
 
 }  // namespace
@@ -85,6 +170,9 @@ int main(int argc, char** argv) {
       argc, argv, "--datasets",
       {"com-dblp", "com-amazon", "youtube", "soc-pokec", "wiki-topcats",
        "com-orkut", "com-lj", "soc-LiveJournal"});
+
+  const std::string json_path = bench::json_flag(argc, argv);
+  std::vector<bench::Record> records;
 
   api::print_bench_banner("Table 6: link prediction on medium-scale analogs");
   std::printf("dim=%u, epoch budgets at %.0f%% of the paper's, tau=%u\n\n",
@@ -158,6 +246,12 @@ int main(int argc, char** argv) {
                 "AUCROC");
     print_rows(rows);
     std::printf("\n");
+    add_records(name, scale, dim, rows, records);
+  }
+  if (!json_path.empty() &&
+      !bench::write_report(json_path, "table6_medium", records,
+                           bench::run_id_flag(argc, argv))) {
+    return 1;
   }
   return 0;
 }

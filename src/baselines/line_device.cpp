@@ -120,7 +120,8 @@ embedding::EmbeddingMatrix line_device_embed(const graph::Graph& graph,
         std::memcpy(source_row, staged, d * sizeof(emb_t));
       }
     };
-    device.launch_blocking(num_warps, d * sizeof(emb_t), kernel);
+    device.launch_blocking(num_warps, d * sizeof(emb_t),
+                           matrix.size() * sizeof(emb_t), kernel);
   }
 
   matrix_device.copy_to_host(std::span<emb_t>(matrix.data(), matrix.size()));

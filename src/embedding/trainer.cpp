@@ -37,6 +37,10 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
   if (epochs == 0) {
     throw std::invalid_argument("DeviceTrainer: epochs must be >= 1");
   }
+  if (config_.negative_samples > kMaxNegativeSamples) {
+    throw std::invalid_argument(
+        "DeviceTrainer: negative_samples must be <= 64");
+  }
   if (lr_total == 0) {
     // A zero-length decay schedule would divide 0/0 in
     // decayed_learning_rate and train every epoch on NaN.
@@ -132,6 +136,9 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
     // Seeded from a runtime value: a literal seed is a float fixpoint of
     // the burn step and lets the compiler const-fold the chain away.
     float lane_sink = lr + 1.0f;
+    auto row = [matrix_device, d](vid_t v) {
+      return matrix_device + static_cast<std::size_t>(v) * d;
+    };
     for (unsigned slot = 0; slot < vertices_per_warp; ++slot) {
       const std::size_t index = ctx.warp_id * vertices_per_warp + slot;
       if (index >= num_vertices) break;
@@ -141,7 +148,7 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
       // across sources and epochs.
       Rng rng(hash_combine(epoch_seed, src));
 
-      emb_t* source_row = matrix_device + static_cast<std::size_t>(src) * d;
+      emb_t* source_row = row(src);
       emb_t* staged = source_row;  // naive: work directly on global memory
       if (!naive) {
         staged = reinterpret_cast<emb_t*>(ctx.shared) +
@@ -149,29 +156,26 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
         std::memcpy(staged, source_row, d * sizeof(emb_t));
       }
 
-      // One positive sample drawn from the configured similarity Q...
-      const vid_t positive =
-          ppr ? graph.ppr_sample(src, ppr_alpha, rng)
-              : graph.positive_sample(src, rng);
-      if (positive != kInvalidVertex && positive != src) {
-        emb_t* sample_row =
-            matrix_device + static_cast<std::size_t>(positive) * d;
-        update_embedding(staged, sample_row, d, 1.0f, lr, sigmoid, rule);
-        lane_sink = burn_idle_lanes(idle, lane_sink);
-      }
-      // ... then ns negatives from the uniform noise distribution. A
-      // negative equal to the source carries no signal, and in the staged
-      // kernel it would update the stale global row underneath the
-      // shared-memory copy only for the closing writeback to clobber it —
-      // skip it, mirroring the positive != src guard above.
-      for (unsigned k = 0; k < ns; ++k) {
-        const vid_t negative = negative_sample(num_vertices, rng);
-        if (negative == src) continue;
-        emb_t* sample_row =
-            matrix_device + static_cast<std::size_t>(negative) * d;
-        update_embedding(staged, sample_row, d, 0.0f, lr, sigmoid, rule);
-        lane_sink = burn_idle_lanes(idle, lane_sink);
-      }
+      // One positive sample drawn from the configured similarity Q, then
+      // ns negatives from the uniform noise distribution. A sample equal
+      // to the source carries no signal, and in the staged kernel it would
+      // update the stale global row underneath the shared-memory copy only
+      // for the closing writeback to clobber it — skip it.
+      const unsigned applied = train_source(
+          staged, d, ns, lr, sigmoid, rule,
+          [&]() -> emb_t* {
+            const vid_t positive =
+                ppr ? graph.ppr_sample(src, ppr_alpha, rng)
+                    : graph.positive_sample(src, rng);
+            return positive != kInvalidVertex && positive != src
+                       ? row(positive)
+                       : nullptr;
+          },
+          [&]() -> emb_t* {
+            const vid_t negative = negative_sample(num_vertices, rng);
+            return negative != src ? row(negative) : nullptr;
+          });
+      lane_sink = burn_idle_lanes(idle * applied, lane_sink);
 
       if (!naive) {
         std::memcpy(source_row, staged, d * sizeof(emb_t));
@@ -184,7 +188,11 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
     if (lane_sink == -1.0f) std::abort();
   };
 
-  device.launch_blocking(num_warps, shared_bytes, kernel);
+  // Every row of the matrix can be a sample, so the whole matrix is the
+  // working set the device sizes this launch by.
+  device.launch_blocking(
+      num_warps, shared_bytes,
+      static_cast<std::size_t>(num_vertices) * d * sizeof(emb_t), kernel);
 }
 
 }  // namespace

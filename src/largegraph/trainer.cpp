@@ -80,35 +80,39 @@ void run_pair_kernel(simt::Device& device, const PairKernelArgs& args,
     emb_t* staged = reinterpret_cast<emb_t*>(ctx.shared);
     std::memcpy(staged, source_row, d * sizeof(emb_t));
 
+    auto partner_row = [partner_slot, d](vid_t local_id) {
+      return partner_slot + static_cast<std::size_t>(local_id) * d;
+    };
     for (unsigned i = 0; i < args.batch_B; ++i) {
-      const vid_t positive = positives[static_cast<std::size_t>(local) *
-                                           args.batch_B + i];
-      if (positive != kInvalidVertex &&
-          (!diagonal || positive != global_id)) {
-        emb_t* sample = partner_slot +
-                        static_cast<std::size_t>(positive - partner_begin) * d;
-        embedding::update_embedding(staged, sample, d, 1.0f, args.lr, sigmoid,
-                                    args.rule);
-      }
       // Negatives come from the partner part, generated on device
       // (Section 3.3: "the kernel for the parts draws the negative samples
       // ... randomly from V_k"). On the diagonal the partner is this part:
-      // a self-negative would update the stale global source row while it
+      // a self sample would update the stale global source row while it
       // is staged in shared memory, only for the closing writeback to
       // clobber it — skip it, as the resident kernel does.
-      for (unsigned k = 0; k < args.ns; ++k) {
-        const vid_t negative =
-            static_cast<vid_t>(rng.next_bounded(partner_size));
-        if (diagonal && negative == local) continue;
-        emb_t* sample = partner_slot + static_cast<std::size_t>(negative) * d;
-        embedding::update_embedding(staged, sample, d, 0.0f, args.lr, sigmoid,
-                                    args.rule);
-      }
+      embedding::train_source(
+          staged, d, args.ns, args.lr, sigmoid, args.rule,
+          [&]() -> emb_t* {
+            const vid_t positive =
+                positives[static_cast<std::size_t>(local) * args.batch_B + i];
+            return positive != kInvalidVertex &&
+                           (!diagonal || positive != global_id)
+                       ? partner_row(positive - partner_begin)
+                       : nullptr;
+          },
+          [&]() -> emb_t* {
+            const vid_t negative =
+                static_cast<vid_t>(rng.next_bounded(partner_size));
+            return diagonal && negative == local ? nullptr
+                                                 : partner_row(negative);
+          });
     }
     std::memcpy(source_row, staged, d * sizeof(emb_t));
   };
 
-  device.launch_blocking(num_warps, shared_bytes, kernel);
+  // The kernel writes rows of both resident parts (one on the diagonal).
+  device.launch_blocking(num_warps, shared_bytes,
+                         num_warps * args.dim * sizeof(emb_t), kernel);
 }
 
 }  // namespace
@@ -139,6 +143,10 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
       matrix.dim() != train_config_.dim) {
     throw std::invalid_argument(
         "LargeGraphTrainer: matrix shape does not match graph/config");
+  }
+  if (train_config_.negative_samples > embedding::kMaxNegativeSamples) {
+    throw std::invalid_argument(
+        "LargeGraphTrainer: negative_samples must be <= 64");
   }
 
   const unsigned k = plan_.num_parts();

@@ -1,5 +1,7 @@
 #include "gosh/simt/device.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <new>
 #include <string>
@@ -19,15 +21,27 @@ DeviceOutOfMemory::DeviceOutOfMemory(std::size_t requested,
       requested_(requested),
       free_(free_bytes) {}
 
+std::size_t core_l2_bytes() noexcept {
+  static const std::size_t bytes = [] {
+    const long reported = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
+    return reported > 0 ? static_cast<std::size_t>(reported)
+                        : std::size_t{1} << 20;
+  }();
+  return bytes;
+}
+
 // Dedicated worker threads (not the global host pool): device kernels are
 // launched *from* host pool threads in the large-graph engine, and sharing
 // one pool there could deadlock two nested waits.
 //
 // Lifecycle discipline: the Launch record lives on the launcher's stack, so
 // the launcher may not return while any worker still holds a pointer to it.
-// All hand-off state (current launch, completion count, reference count,
-// generation number) is guarded by one mutex; only the warp-claim cursor is
-// atomic so that chunk claims stay wait-free on the hot path.
+// All hand-off state (launch slot, current launch, completion count,
+// reference count, generation number) is guarded by one mutex; only the
+// warp-claim cursor is atomic so that chunk claims stay wait-free on the
+// hot path. An inline launch holds the slot but never publishes itself as
+// `current`, so the workers sleep through it; its warps use one arena of
+// their own, which the slot makes exclusive.
 struct Device::Impl {
   struct Launch {
     std::size_t num_warps = 0;
@@ -39,7 +53,7 @@ struct Device::Impl {
   };
 
   Impl(unsigned workers, const DeviceConfig& device_config)
-      : config(device_config) {
+      : config(device_config), inline_arena(config.max_shared_bytes) {
     shared_arenas.reserve(workers);
     for (unsigned i = 0; i < workers; ++i) {
       shared_arenas.emplace_back(config.max_shared_bytes);
@@ -59,14 +73,33 @@ struct Device::Impl {
     for (auto& t : threads) t.join();
   }
 
-  void run(std::size_t num_warps, std::size_t shared_bytes,
+  void run(std::size_t num_warps, std::size_t shared_bytes, bool inline_run,
            const WarpKernel& kernel) {
     common::UniqueLock lock(mutex);
     // One launch at a time per device; concurrent launchers (one per
     // stream) serialize here. In-order execution per stream and a full
     // barrier per launch are exactly the guarantees the trainer's
     // epoch-synchronization relies on.
-    while (current != nullptr) idle_cv.wait(lock);
+    while (busy) idle_cv.wait(lock);
+    busy = true;
+
+    if (inline_run) {
+      lock.unlock();
+      // Releases the slot even if the kernel throws, so the device stays
+      // usable for the next launcher.
+      struct SlotRelease {
+        Impl& impl;
+        ~SlotRelease() { impl.release_slot(); }
+      } release{*this};
+      WarpContext ctx;
+      ctx.shared = inline_arena.data();
+      ctx.shared_bytes = shared_bytes;
+      for (std::size_t w = 0; w < num_warps; ++w) {
+        ctx.warp_id = w;
+        kernel(ctx);
+      }
+      return;
+    }
 
     Launch launch;
     launch.num_warps = num_warps;
@@ -80,6 +113,15 @@ struct Device::Impl {
       done_cv.wait(lock);
     }
     current = nullptr;
+    busy = false;
+    idle_cv.notify_one();
+  }
+
+  void release_slot() {
+    {
+      common::MutexLock lock(mutex);
+      busy = false;
+    }
     idle_cv.notify_one();
   }
 
@@ -130,10 +172,12 @@ struct Device::Impl {
   DeviceConfig config;
   std::vector<std::thread> threads;
   std::vector<AlignedBuffer<std::byte>> shared_arenas;
+  AlignedBuffer<std::byte> inline_arena;
   common::Mutex mutex;
   common::CondVar work_cv;   // new launch available
   common::CondVar done_cv;   // current launch fully complete
   common::CondVar idle_cv;   // device free for the next launcher
+  bool busy GOSH_GUARDED_BY(mutex) = false;  // the launch slot is taken
   Launch* current GOSH_GUARDED_BY(mutex) = nullptr;
   std::uint64_t generation GOSH_GUARDED_BY(mutex) = 0;
   bool stopping GOSH_GUARDED_BY(mutex) = false;
@@ -176,6 +220,7 @@ void Device::deallocate(void* pointer, std::size_t bytes) noexcept {
 }
 
 void Device::launch_blocking(std::size_t num_warps, std::size_t shared_bytes,
+                             std::size_t working_set_bytes,
                              const WarpKernel& kernel) {
   if (num_warps == 0) return;
   if (shared_bytes > config_.max_shared_bytes) {
@@ -184,7 +229,8 @@ void Device::launch_blocking(std::size_t num_warps, std::size_t shared_bytes,
   }
   metrics_.add_kernel();
   metrics_.add_warps(num_warps);
-  impl_->run(num_warps, shared_bytes, kernel);
+  impl_->run(num_warps, shared_bytes, working_set_bytes <= core_l2_bytes(),
+             kernel);
 }
 
 }  // namespace gosh::simt

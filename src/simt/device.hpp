@@ -15,6 +15,16 @@
 //     transfers with kernels, which the large-graph engine uses to hide
 //     sub-matrix switches (Section 3.3.2).
 //
+// Occupancy: each launch names the bytes of rows its kernel writes. When
+// that working set fits in one core's L2 (core_l2_bytes()), every warp
+// runs on the launching thread; only larger launches spread over the
+// worker pool. Spreading a cache-resident matrix buys no parallelism on a
+// host: concurrent HOGWILD row writes bounce its cache lines between
+// cores, so on a 4-vCPU Xeon the coarse GOSH levels ran slower on four
+// workers than on one and burned 4-5x the CPU per sample. Both paths hold
+// the device's single launch slot and are metered alike; only the thread
+// that runs the warps differs.
+//
 // Device "memory" is ordinary host memory behind a capacity meter: the
 // emulation is about control flow and limits, not about simulating DRAM
 // timing. Transfers really copy bytes (so H2D/D2H costs are nonzero and
@@ -75,6 +85,10 @@ struct DeviceConfig {
 
 class Stream;
 
+/// Per-core L2 size in bytes, read once from sysconf; 1 MiB when the host
+/// does not report one. Launches whose working set fits run inline.
+std::size_t core_l2_bytes() noexcept;
+
 /// The emulated device. Thread-safe: allocation, launches and metrics may
 /// be used from multiple host threads (the large-graph engine does).
 class Device {
@@ -100,7 +114,11 @@ class Device {
   /// Runs `kernel` for warps [0, num_warps), blocking until all complete.
   /// `shared_bytes` scratch is provided per executing warp. Epoch-level
   /// synchronization in the trainer is built from consecutive launches.
+  /// `working_set_bytes` is the size of the rows the kernel writes: up to
+  /// core_l2_bytes() the warps run in order on the calling thread, above
+  /// it on the worker pool.
   void launch_blocking(std::size_t num_warps, std::size_t shared_bytes,
+                       std::size_t working_set_bytes,
                        const WarpKernel& kernel);
 
   Metrics& metrics() noexcept { return metrics_; }

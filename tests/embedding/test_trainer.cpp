@@ -1,9 +1,15 @@
 // DeviceTrainer (Algorithm 3): structural behaviour and embedding quality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "gosh/common/rng.hpp"
+#include "gosh/common/sigmoid.hpp"
+#include "gosh/embedding/schedule.hpp"
 #include "gosh/embedding/trainer.hpp"
 #include "gosh/graph/builder.hpp"
 #include "gosh/graph/generators.hpp"
@@ -261,6 +267,149 @@ TEST(Trainer, RejectsZeroEpochSchedules) {
   EXPECT_THROW(trainer.train(m, 5, /*lr_offset=*/0, /*lr_total=*/0),
                std::invalid_argument);
 }
+
+TEST(Trainer, RejectsTooManyNegativeSamples) {
+  // The per-source draw buffer holds 1 + 64 rows; api::Options caps
+  // negative-samples there, but a TrainConfig built directly skips it.
+  simt::Device device(test_device_config());
+  const auto g = two_cliques();
+  TrainConfig config;
+  config.dim = 16;
+  config.negative_samples = 65;
+  DeviceTrainer trainer(device, g, config);
+  EmbeddingMatrix m(g.num_vertices(), 16);
+  m.initialize_random(16);
+  EXPECT_THROW(trainer.train(m, 1), std::invalid_argument);
+
+  config.negative_samples = 64;
+  DeviceTrainer at_cap(device, g, config);
+  EXPECT_NO_THROW(at_cap.train(m, 1));
+}
+
+TEST(Trainer, MatrixAboveL2RunsOnTheWorkerPool) {
+  // 16384 x 128 floats = 8 MiB, above any per-core L2: every launch takes
+  // the worker pool, so this is the trainer test that keeps the spread
+  // path under the race detector. One worker is enough to check the
+  // hand-off of the matrix to the pool and back; a second would only add
+  // the HOGWILD sample-row race .tsan-suppressions waives, and the
+  // detector spends minutes on those reports.
+  simt::DeviceConfig device_config = test_device_config();
+  device_config.workers = 1;
+  simt::Device device(device_config);
+  const auto g = graph::erdos_renyi(16384, 65536, 17);
+  TrainConfig config;
+  config.dim = 128;
+  EmbeddingMatrix m(g.num_vertices(), config.dim);
+  m.initialize_random(17);
+  ASSERT_GT(m.bytes(), simt::core_l2_bytes());
+  const std::vector<emb_t> before(m.data(), m.data() + m.size());
+  device.metrics().reset();
+  DeviceTrainer trainer(device, g, config);
+  trainer.train(m, 2);
+  EXPECT_EQ(device.metrics().snapshot().kernels_launched, 2u);
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(m.data()[i]));
+    changed += m.data()[i] != before[i];
+  }
+  EXPECT_GT(changed, m.size() / 2);
+}
+
+// ---- The update sequence, pinned against a reference -------------------
+
+/// The resident kernel's per-source loop written out on the host in its
+/// plainest form: sources in order, one RNG per (epoch, source), the
+/// positive then `ns` negatives, each draw followed at once by its update,
+/// self samples and isolated sources skipped. The samplers are restated
+/// here rather than borrowed from DeviceGraph, so a change to either side
+/// shows.
+std::vector<emb_t> reference_train(const graph::Graph& g,
+                                   const TrainConfig& config,
+                                   const EmbeddingMatrix& initial,
+                                   unsigned epochs) {
+  const vid_t n = g.num_vertices();
+  const unsigned d = config.dim;
+  EmbeddingMatrix m(n, d);
+  std::copy(initial.data(), initial.data() + initial.size(), m.data());
+  const auto& xadj = g.xadj();
+  const auto& adj = g.adj();
+  auto neighbour = [&](vid_t v, Rng& rng) {
+    const eid_t begin = xadj[v];
+    const eid_t end = xadj[v + 1];
+    return begin == end ? kInvalidVertex
+                        : adj[begin + rng.next_bounded(end - begin)];
+  };
+  auto ppr_endpoint = [&](vid_t v, Rng& rng) {
+    for (vid_t current = v;;) {
+      const vid_t next = neighbour(current, rng);
+      if (next == kInvalidVertex) {
+        return current == v ? kInvalidVertex : current;
+      }
+      current = next;
+      if (rng.next_float() >= config.ppr_alpha) return current;
+    }
+  };
+  const SigmoidTable& sigmoid = default_sigmoid_table();
+  for (unsigned epoch = 0; epoch < epochs; ++epoch) {
+    const float lr =
+        decayed_learning_rate(config.learning_rate, epoch, epochs);
+    const std::uint64_t epoch_seed = hash_combine(config.seed, epoch);
+    for (vid_t src = 0; src < n; ++src) {
+      Rng rng(hash_combine(epoch_seed, src));
+      emb_t* source = m.row(src).data();
+      const vid_t positive =
+          config.positive_sampling == PositiveSampling::kPpr
+              ? ppr_endpoint(src, rng)
+              : neighbour(src, rng);
+      if (positive != kInvalidVertex && positive != src) {
+        update_embedding(source, m.row(positive).data(), d, 1.0f, lr,
+                         sigmoid, config.update_rule);
+      }
+      for (unsigned k = 0; k < config.negative_samples; ++k) {
+        const vid_t negative = rng.next_vertex(n);
+        if (negative == src) continue;
+        update_embedding(source, m.row(negative).data(), d, 0.0f, lr,
+                         sigmoid, config.update_rule);
+      }
+    }
+  }
+  return std::vector<emb_t>(m.data(), m.data() + m.size());
+}
+
+/// (naive kernel, PPR positives, dim)
+using SequenceCase = std::tuple<bool, bool, unsigned>;
+
+class TrainerSequenceTest : public ::testing::TestWithParam<SequenceCase> {};
+
+TEST_P(TrainerSequenceTest, MatchesReferenceLoopBitForBit) {
+  const auto [naive, ppr, dim] = GetParam();
+  const auto g = two_cliques();
+  TrainConfig config;
+  config.dim = dim;  // 8: four vertices per warp when packed; 32: one
+  config.naive_kernel = naive;
+  config.positive_sampling =
+      ppr ? PositiveSampling::kPpr : PositiveSampling::kAdjacency;
+  config.seed = 99;
+  EmbeddingMatrix m(g.num_vertices(), dim);
+  m.initialize_random(18);
+  const std::vector<emb_t> expected = reference_train(g, config, m, 50);
+
+  // The 16-row matrix fits any L2, so each launch runs its warps in order
+  // on this thread: the device walks the reference's exact sequence.
+  simt::Device device(test_device_config());
+  DeviceTrainer trainer(device, g, config);
+  trainer.train(m, 50);
+  const std::vector<emb_t> actual(m.data(), m.data() + m.size());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << "element " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, TrainerSequenceTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(8u, 32u)));
 
 TEST(Trainer, AccountsDeviceTraffic) {
   simt::Device device(test_device_config());

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "gosh/largegraph/trainer.hpp"
 
 namespace gosh {
 namespace {
@@ -152,6 +154,45 @@ TEST(LargeTrainer, LearnsCommunityStructureAcrossParts) {
     }
   }
   EXPECT_GT(intra / intra_n - inter / inter_n, 0.05f);
+}
+
+TEST(LargeTrainer, RejectsTooManyNegativeSamples) {
+  // The pair kernel's draw buffer holds 1 + 64 rows; api::Options caps
+  // negative-samples there, but a TrainConfig built directly skips it.
+  simt::DeviceConfig device_config;
+  device_config.memory_bytes = 160u << 10;
+  device_config.workers = 2;
+  simt::Device device(device_config);
+  const auto g = graph::rmat(12, 20000, 46);
+  embedding::TrainConfig train;
+  train.dim = 32;
+  train.negative_samples = 65;
+  largegraph::LargeGraphTrainer trainer(device, g, train, {});
+  embedding::EmbeddingMatrix m(g.num_vertices(), train.dim);
+  m.initialize_random(46);
+  EXPECT_THROW(trainer.train(m, 5), std::invalid_argument);
+}
+
+TEST(LargeTrainer, PairKernelsAboveL2RunOnTheWorkerPool) {
+  // 8192 x 128 floats in 2 parts of 2 MiB: the off-diagonal pair kernel
+  // writes 4 MiB of rows, above a per-core L2, so it takes the worker
+  // pool. This is the partitioned test that keeps the pair kernel's
+  // spread path under the race detector, with one worker for the reason
+  // Trainer.MatrixAboveL2RunsOnTheWorkerPool gives.
+  const auto g = graph::rmat(13, 32768, 47);
+  api::Options options = partitioned_options(16u << 20, 128, 1);
+  options.device.workers = 1;
+  options.gosh.large_graph.batch_B = 1;
+  options.gosh.large_graph.device_budget_bytes = 7u << 20;
+  const auto result = must_embed(g, options);
+  const embedding::LevelReport& level = result.levels.front();
+  ASSERT_TRUE(level.used_large_graph_path);
+  ASSERT_EQ(level.partitions, 2u);
+  EXPECT_EQ(level.pair_kernels, 3u);  // (0,0), (0,1), (1,1)
+  ASSERT_GT(g.num_vertices() * 128 * sizeof(emb_t), simt::core_l2_bytes());
+  for (std::size_t i = 0; i < result.embedding.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(result.embedding.data()[i]));
+  }
 }
 
 class LargeTrainerPgpuTest : public ::testing::TestWithParam<unsigned> {};

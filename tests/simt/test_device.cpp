@@ -1,8 +1,9 @@
 // Device emulation: capacity metering, warp execution, shared memory,
-// launch serialization.
+// launch serialization, occupancy (inline vs spread launches).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -12,6 +13,17 @@
 
 namespace gosh::simt {
 namespace {
+
+// Working sets far from any host's per-core L2 on either side, so the
+// path a launch takes does not depend on the machine running the test.
+constexpr std::size_t kTinyWorkingSet = std::size_t{4} << 10;
+constexpr std::size_t kLargeWorkingSet = std::size_t{64} << 20;
+
+/// Launches on the worker pool, the path most of these tests exercise.
+void launch_spread(Device& device, std::size_t num_warps,
+                   std::size_t shared_bytes, const WarpKernel& kernel) {
+  device.launch_blocking(num_warps, shared_bytes, kLargeWorkingSet, kernel);
+}
 
 DeviceConfig small_config(std::size_t bytes = 1 << 20, unsigned workers = 2) {
   DeviceConfig config;
@@ -63,7 +75,7 @@ TEST(DeviceLaunch, ExecutesEveryWarpExactlyOnce) {
   Device device(small_config());
   constexpr std::size_t kWarps = 10000;
   std::vector<std::atomic<int>> executed(kWarps);
-  device.launch_blocking(kWarps, 0, [&executed](const WarpContext& ctx) {
+  launch_spread(device, kWarps, 0, [&executed](const WarpContext& ctx) {
     executed[ctx.warp_id].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t w = 0; w < kWarps; ++w) {
@@ -73,7 +85,7 @@ TEST(DeviceLaunch, ExecutesEveryWarpExactlyOnce) {
 
 TEST(DeviceLaunch, ZeroWarpsIsNoop) {
   Device device(small_config());
-  device.launch_blocking(0, 0, [](const WarpContext&) { FAIL(); });
+  launch_spread(device, 0, 0, [](const WarpContext&) { FAIL(); });
 }
 
 TEST(DeviceLaunch, SharedMemoryIsWarpPrivate) {
@@ -81,7 +93,7 @@ TEST(DeviceLaunch, SharedMemoryIsWarpPrivate) {
   // Each warp writes a pattern then verifies it survives its own body —
   // concurrent warps must not see each other's arena.
   std::atomic<int> corruptions{0};
-  device.launch_blocking(2000, 256, [&corruptions](const WarpContext& ctx) {
+  launch_spread(device, 2000, 256, [&corruptions](const WarpContext& ctx) {
     ASSERT_NE(ctx.shared, nullptr);
     ASSERT_GE(ctx.shared_bytes, 256u);
     std::memset(ctx.shared, static_cast<int>(ctx.warp_id & 0xff), 256);
@@ -104,17 +116,17 @@ TEST(DeviceLaunch, RejectsOversizedSharedRequest) {
   config.max_shared_bytes = 128;
   Device device(config);
   EXPECT_THROW(
-      device.launch_blocking(1, 256, [](const WarpContext&) {}),
+      launch_spread(device, 1, 256, [](const WarpContext&) {}),
       std::invalid_argument);
 }
 
 TEST(DeviceLaunch, SequentialLaunchesAreOrdered) {
   Device device(small_config());
   std::vector<int> values(100, 0);
-  device.launch_blocking(100, 0, [&values](const WarpContext& ctx) {
+  launch_spread(device, 100, 0, [&values](const WarpContext& ctx) {
     values[ctx.warp_id] = 1;
   });
-  device.launch_blocking(100, 0, [&values](const WarpContext& ctx) {
+  launch_spread(device, 100, 0, [&values](const WarpContext& ctx) {
     values[ctx.warp_id] += 1;  // must observe the first launch's writes
   });
   for (int v : values) EXPECT_EQ(v, 2);
@@ -131,7 +143,7 @@ TEST(DeviceLaunch, ConcurrentLaunchersSerialize) {
   auto launcher = [&](int launcher_id) {
     for (int i = 0; i < 20; ++i) {
       const int launch_id = launcher_id * 1000 + i + 1;
-      device.launch_blocking(50, 0, [&, launch_id](const WarpContext&) {
+      launch_spread(device, 50, 0, [&, launch_id](const WarpContext&) {
         int expected = 0;
         if (!active_launch.compare_exchange_strong(expected, launch_id) &&
             expected != launch_id) {
@@ -154,13 +166,16 @@ TEST(DeviceLaunch, ConcurrentLaunchersSerialize) {
 }
 
 TEST(DeviceMetrics, CountsKernelsAndWarps) {
+  // Inline and spread launches are metered alike.
   Device device(small_config());
-  device.metrics().reset();
-  device.launch_blocking(64, 0, [](const WarpContext&) {});
-  device.launch_blocking(36, 0, [](const WarpContext&) {});
-  const auto snap = device.metrics().snapshot();
-  EXPECT_EQ(snap.kernels_launched, 2u);
-  EXPECT_EQ(snap.warps_executed, 100u);
+  for (const std::size_t working_set : {kTinyWorkingSet, kLargeWorkingSet}) {
+    device.metrics().reset();
+    device.launch_blocking(64, 0, working_set, [](const WarpContext&) {});
+    device.launch_blocking(36, 0, working_set, [](const WarpContext&) {});
+    const auto snap = device.metrics().snapshot();
+    EXPECT_EQ(snap.kernels_launched, 2u) << working_set;
+    EXPECT_EQ(snap.warps_executed, 100u) << working_set;
+  }
 }
 
 TEST(DeviceMetrics, TransfersAreMetered) {
@@ -198,12 +213,70 @@ TEST(DeviceBuffer, MoveTransfersOwnership) {
   EXPECT_TRUE(a.empty());
 }
 
+std::vector<std::thread::id> launch_threads(Device& device,
+                                            std::size_t working_set) {
+  std::vector<std::thread::id> ran_on(500);
+  device.launch_blocking(ran_on.size(), 64, working_set,
+                         [&ran_on](const WarpContext& ctx) {
+                           ran_on[ctx.warp_id] = std::this_thread::get_id();
+                         });
+  return ran_on;
+}
+
+TEST(DeviceOccupancy, TinyWorkingSetRunsOnTheCaller) {
+  Device device(small_config());
+  for (const std::thread::id id : launch_threads(device, kTinyWorkingSet)) {
+    ASSERT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(DeviceOccupancy, LargeWorkingSetRunsOnWorkers) {
+  Device device(small_config());
+  for (const std::thread::id id : launch_threads(device, kLargeWorkingSet)) {
+    ASSERT_NE(id, std::thread::id{});
+    ASSERT_NE(id, std::this_thread::get_id());
+  }
+}
+
+/// Runs a one-warp launch sized `first` whose warp waits up to 100 ms for
+/// the warp of a second launch, sized `second` and made from another
+/// thread once the first is running. True when the second launch ran
+/// inside the first: the launch slot failed to serialize them.
+bool launches_overlap(std::size_t first, std::size_t second) {
+  Device device(small_config());
+  std::atomic<bool> first_running{false};
+  std::atomic<bool> second_ran{false};
+  bool overlapped = false;
+  std::thread other([&] {
+    while (!first_running.load()) std::this_thread::yield();
+    device.launch_blocking(1, 0, second, [&](const WarpContext&) {
+      second_ran.store(true);
+    });
+  });
+  device.launch_blocking(1, 0, first, [&](const WarpContext&) {
+    first_running.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    while (!second_ran.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    overlapped = second_ran.load();
+  });
+  other.join();
+  return overlapped;
+}
+
+TEST(DeviceOccupancy, InlineAndSpreadLaunchesSerialize) {
+  EXPECT_FALSE(launches_overlap(kTinyWorkingSet, kLargeWorkingSet));
+  EXPECT_FALSE(launches_overlap(kLargeWorkingSet, kTinyWorkingSet));
+}
+
 class DeviceWorkerCountTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DeviceWorkerCountTest, AllWarpsRunUnderAnyWorkerCount) {
   Device device(small_config(1 << 20, GetParam()));
   std::atomic<std::size_t> count{0};
-  device.launch_blocking(997, 0, [&count](const WarpContext&) {
+  launch_spread(device, 997, 0, [&count](const WarpContext&) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 997u);

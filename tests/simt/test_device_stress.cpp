@@ -12,6 +12,14 @@
 namespace gosh::simt {
 namespace {
 
+/// Launches with a working set above any host's per-core L2, so the warps
+/// spread over the worker pool whatever machine runs the test.
+void launch_spread(Device& device, std::size_t num_warps,
+                   std::size_t shared_bytes, const WarpKernel& kernel) {
+  device.launch_blocking(num_warps, shared_bytes, std::size_t{64} << 20,
+                         kernel);
+}
+
 TEST(DeviceStress, ConcurrentAllocationsRespectCapacity) {
   DeviceConfig config;
   config.memory_bytes = 1 << 20;
@@ -61,7 +69,7 @@ TEST(DeviceStress, LaunchesInterleavedWithTransfers) {
 
   for (int i = 0; i < 200; ++i) {
     std::atomic<long> sum{0};
-    device.launch_blocking(64, 0, [&](const WarpContext& ctx) {
+    launch_spread(device, 64, 0, [&](const WarpContext& ctx) {
       sum.fetch_add(data.data()[ctx.warp_id], std::memory_order_relaxed);
     });
     // Values are racing 0/1 writes; the invariant is no crash and a sum
@@ -80,7 +88,7 @@ TEST(DeviceStress, RapidCreateDestroyCycles) {
     config.workers = 2;
     Device device(config);
     std::atomic<int> ran{0};
-    device.launch_blocking(8, 64, [&ran](const WarpContext&) {
+    launch_spread(device, 8, 64, [&ran](const WarpContext&) {
       ran.fetch_add(1);
     });
     ASSERT_EQ(ran.load(), 8);
@@ -115,7 +123,7 @@ TEST(DeviceStress, OomDuringPipelineLeavesDeviceUsable) {
 
   // The device must still execute work and accept fitting allocations.
   std::atomic<int> ran{0};
-  device.launch_blocking(4, 0, [&ran](const WarpContext&) {
+  launch_spread(device, 4, 0, [&ran](const WarpContext&) {
     ran.fetch_add(1);
   });
   EXPECT_EQ(ran.load(), 4);
