@@ -150,7 +150,9 @@ BENCHMARK(BM_PositiveSampling);
 // ---- can run: "simd_dot/avx2/128" vs "simd_dot/scalar/128" is the
 // ---- speedup the dispatch layer buys. -----------------------------------
 
-constexpr std::size_t kBlockQueries = 16;
+// Scores one iteration of a block-kernel bench produces; the JSON report
+// divides its time by this to give ns per score.
+constexpr const char* kScoresCounter = "scores";
 
 void register_isa_benchmarks() {
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
@@ -210,27 +212,36 @@ void register_isa_benchmarks() {
         ->Arg(32)
         ->Arg(128);
 
-    // The serving scan's inner step: one stored row scored against a
-    // block of query vectors (items = query scores produced).
+    // The serving scan's inner step: a tile of stored rows scored against
+    // a block of query vectors, timed per score (rows x queries). rows:1
+    // prices a call per stored row; rows:64/queries:1 is the full tile a
+    // single-query scan makes.
     benchmark::RegisterBenchmark(
         ("simd_dot_block" + suffix).c_str(),
         [table](benchmark::State& state) {
           const unsigned d = static_cast<unsigned>(state.range(0));
+          const auto rows = static_cast<std::size_t>(state.range(1));
+          const auto count = static_cast<std::size_t>(state.range(2));
           Rng rng(7);
-          std::vector<float> queries(kBlockQueries * d);
+          std::vector<float> queries(count * d);
           for (float& x : queries) x = rng.next_float() - 0.5f;
-          std::vector<float> row(d);
-          for (float& x : row) x = rng.next_float() - 0.5f;
-          std::vector<float> out(kBlockQueries);
+          std::vector<float> tile(rows * d);
+          for (float& x : tile) x = rng.next_float() - 0.5f;
+          std::vector<float> out(rows * count);
           for (auto _ : state) {
-            table->dot_block(queries.data(), kBlockQueries, row.data(), d,
+            table->dot_block(queries.data(), count, tile.data(), rows, d,
                              out.data());
             benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
           }
-          state.SetItemsProcessed(state.iterations() * kBlockQueries);
+          state.SetItemsProcessed(state.iterations() * rows * count);
+          state.counters[kScoresCounter] = static_cast<double>(rows * count);
         })
-        ->Arg(64)
-        ->Arg(128);
+        ->ArgNames({"d", "rows", "queries"})
+        ->Args({128, 1, 1})
+        ->Args({128, 1, 4})
+        ->Args({128, 64, 1})
+        ->Args({128, 64, 4});
   }
 }
 
@@ -242,6 +253,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
     std::string name;
     double ns_per_op = 0.0;
     unsigned threads = 1;
+    double scores_per_op = 0.0;  ///< 0 unless the bench counts scores
   };
 
   // Skipped/errored runs must not enter the perf trajectory as bogus
@@ -265,8 +277,11 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       // derived statistics, not measurements — and their "_mean" name
       // suffix would corrupt the parsed params.
       if (failed(run) || run.run_type != Run::RT_Iteration) continue;
-      captured.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
-                          static_cast<unsigned>(run.threads)});
+      const auto scores = run.counters.find(kScoresCounter);
+      captured.push_back(
+          {run.benchmark_name(), run.GetAdjustedRealTime(),
+           static_cast<unsigned>(run.threads),
+           scores == run.counters.end() ? 0.0 : scores->second.value});
     }
     ConsoleReporter::ReportRuns(report);
   }
@@ -275,12 +290,15 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 };
 
 // "simd_dot/avx2/128" -> name simd_dot, isa avx2, params {d: 128};
-// "BM_CountingSort/16384" -> name BM_CountingSort, params {arg: 16384},
-// isa = the active dispatch (those benches run through simd::kernels()).
+// "simd_dot_block/avx2/d:128/rows:64/queries:1" -> named params, value in
+// ns per score; "BM_CountingSort/16384" -> name BM_CountingSort, params
+// {arg: 16384}, isa = the active dispatch (those benches run through
+// simd::kernels()).
 bench::Record to_record(const CaptureReporter::Captured& run) {
   bench::Record record;
-  record.unit = "ns/op";
-  record.value = run.ns_per_op;
+  record.unit = run.scores_per_op > 0.0 ? "ns/score" : "ns/op";
+  record.value = run.scores_per_op > 0.0 ? run.ns_per_op / run.scores_per_op
+                                         : run.ns_per_op;
   record.threads = run.threads;
   record.isa = std::string(simd::isa_name(simd::active_isa()));
   std::size_t start = 0;
@@ -296,6 +314,11 @@ bench::Record to_record(const CaptureReporter::Captured& run) {
       first = false;
     } else if (simd::parse_isa(token).has_value()) {
       record.isa = token;
+    } else if (const std::size_t colon = token.find(':');
+               colon != std::string::npos) {
+      record.params.emplace_back(token.substr(0, colon),
+                                 token.substr(colon + 1));
+      ++arg_index;
     } else if (!token.empty()) {
       const bool is_dim =
           record.name.rfind("simd_", 0) == 0 && arg_index == 0;

@@ -4,7 +4,8 @@
 // bench_table6_medium accept `--json <file>` and emit one JSON object: the
 // bench name, the SIMD dispatch that was active, the host facts that tell
 // a slow machine from a regression (core count, CPU model, build type,
-// the per-core L2 size the device sizes its launches by), and a flat list
+// the per-core L2 size the device sizes its launches by, the git commit
+// the bench was built from), and a flat list
 // of records (bench name, string params, measured value + unit, ISA,
 // thread count). Committed snapshots (BENCH_5.json, ...) are an array of
 // these objects, one per harness, so successive PRs can diff throughput
@@ -23,9 +24,13 @@
 #include "gosh/common/simd.hpp"
 #include "gosh/simt/device.hpp"
 
-// CMake passes the configuration the benches were built in.
+// CMake passes the configuration the benches were built in, and the
+// commit they were built from ("none" outside a git checkout).
 #ifndef GOSH_BUILD_TYPE
 #define GOSH_BUILD_TYPE "unknown"
+#endif
+#ifndef GOSH_GIT_SHA
+#define GOSH_GIT_SHA "none"
 #endif
 
 namespace gosh::bench {
@@ -139,10 +144,12 @@ inline bool write_report(const std::string& path, std::string_view bench,
                std::string(simd::isa_name(simd::active_isa())).c_str());
   std::fprintf(out,
                "  \"host\": {\"hardware_concurrency\": %u, \"cpu_model\": "
-               "\"%s\", \"build_type\": \"%s\", \"l2_bytes\": %zu},\n",
+               "\"%s\", \"build_type\": \"%s\", \"l2_bytes\": %zu, "
+               "\"git_sha\": \"%s\"},\n",
                std::thread::hardware_concurrency(),
                json_escape(cpu_model()).c_str(),
-               json_escape(GOSH_BUILD_TYPE).c_str(), simt::core_l2_bytes());
+               json_escape(GOSH_BUILD_TYPE).c_str(), simt::core_l2_bytes(),
+               json_escape(GOSH_GIT_SHA).c_str());
   std::fprintf(out, "  \"records\": [");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];

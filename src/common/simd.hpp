@@ -12,11 +12,21 @@
 // the resolution is logged.
 //
 // Determinism contract: within one table every kernel uses a fixed
-// accumulation order, and dot_block/l2_block accumulate each query exactly
-// like dot/l2_squared — so at a fixed ISA the scan scores are bit-for-bit
-// reproducible no matter how rows are distributed over threads or blocks.
-// Across ISAs only near-equality holds (different accumulation orders);
-// the parity test suite bounds the difference.
+// accumulation order, and dot_block/l2_block accumulate each (query, row)
+// pair exactly like dot/l2_squared — so at a fixed ISA the scan scores are
+// bit-for-bit reproducible no matter how rows are distributed over
+// threads, blocks or tiles. Across ISAs only near-equality holds
+// (different accumulation orders); the parity test suite bounds the
+// difference.
+//
+// Tiling: the block kernels score a tile of contiguous stored rows against
+// a block of queries in one call. Queries in groups of four share each
+// row load (one accumulator per query); the last zero to three queries
+// are scored four rows at a time instead (one accumulator per row), so a
+// single query still runs four independent FMA chains. At d = 128 the
+// scan is bound by memory and per-row bookkeeping, not FLOPs: the tile's
+// gain is one indirect call and one row lookup per tile instead of per
+// row.
 #pragma once
 
 #include <atomic>
@@ -57,14 +67,16 @@ struct KernelTable {
   /// sample += source_new * score.
   void (*pair_update_sequential)(float* source, float* sample, unsigned d,
                                  float score);
-  /// out[i] = dot(queries + i * d, row) for i in [0, count): scores one
-  /// stored row against a block of query vectors, reusing the row loads.
-  /// Per query the accumulation order is identical to dot().
-  void (*dot_block)(const float* queries, std::size_t count, const float* row,
-                    unsigned d, float* out);
-  /// out[i] = l2_squared(queries + i * d, row); same contract as dot_block.
-  void (*l2_block)(const float* queries, std::size_t count, const float* row,
-                   unsigned d, float* out);
+  /// out[r * count + i] = dot(queries + i * d, rows + r * d) for every
+  /// query i in [0, count) and row r in [0, row_count): scores a tile of
+  /// back-to-back stored rows against a block of query vectors. Per pair
+  /// the accumulation order is identical to dot().
+  void (*dot_block)(const float* queries, std::size_t count, const float* rows,
+                    std::size_t row_count, unsigned d, float* out);
+  /// out[r * count + i] = l2_squared(queries + i * d, rows + r * d); same
+  /// contract as dot_block.
+  void (*l2_block)(const float* queries, std::size_t count, const float* rows,
+                   std::size_t row_count, unsigned d, float* out);
 };
 
 /// Table for a specific ISA, or nullptr when that ISA is not compiled into

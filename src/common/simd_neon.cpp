@@ -83,8 +83,10 @@ void pair_update_sequential_neon(float* source, float* sample, unsigned d,
   }
 }
 
-void dot_block_neon(const float* queries, std::size_t count, const float* row,
-                    unsigned d, float* out) {
+// One stored row against the query block; the block kernels below loop
+// it over the tile.
+void dot_row_neon(const float* queries, std::size_t count, const float* row,
+                  unsigned d, float* out) {
   std::size_t i = 0;
   for (; i + 4 <= count; i += 4) {
     const float* q0 = queries + (i + 0) * d;
@@ -118,8 +120,8 @@ void dot_block_neon(const float* queries, std::size_t count, const float* row,
   for (; i < count; ++i) out[i] = dot_neon(queries + i * d, row, d);
 }
 
-void l2_block_neon(const float* queries, std::size_t count, const float* row,
-                   unsigned d, float* out) {
+void l2_row_neon(const float* queries, std::size_t count, const float* row,
+                 unsigned d, float* out) {
   std::size_t i = 0;
   for (; i + 4 <= count; i += 4) {
     const float* q0 = queries + (i + 0) * d;
@@ -159,6 +161,20 @@ void l2_block_neon(const float* queries, std::size_t count, const float* row,
     out[i + 3] = s3;
   }
   for (; i < count; ++i) out[i] = l2_squared_neon(queries + i * d, row, d);
+}
+
+void dot_block_neon(const float* queries, std::size_t count, const float* rows,
+                    std::size_t row_count, unsigned d, float* out) {
+  for (std::size_t r = 0; r < row_count; ++r) {
+    dot_row_neon(queries, count, rows + r * d, d, out + r * count);
+  }
+}
+
+void l2_block_neon(const float* queries, std::size_t count, const float* rows,
+                   std::size_t row_count, unsigned d, float* out) {
+  for (std::size_t r = 0; r < row_count; ++r) {
+    l2_row_neon(queries, count, rows + r * d, d, out + r * count);
+  }
 }
 
 constexpr KernelTable kNeonTable = {

@@ -49,16 +49,22 @@ void pair_update_sequential_scalar(float* source, float* sample, unsigned d,
 }
 
 void dot_block_scalar(const float* queries, std::size_t count,
-                      const float* row, unsigned d, float* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = dot_scalar(queries + i * d, row, d);
+                      const float* rows, std::size_t row_count, unsigned d,
+                      float* out) {
+  for (std::size_t r = 0; r < row_count; ++r) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[r * count + i] = dot_scalar(queries + i * d, rows + r * d, d);
+    }
   }
 }
 
 void l2_block_scalar(const float* queries, std::size_t count,
-                     const float* row, unsigned d, float* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = l2_squared_scalar(queries + i * d, row, d);
+                     const float* rows, std::size_t row_count, unsigned d,
+                     float* out) {
+  for (std::size_t r = 0; r < row_count; ++r) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[r * count + i] = l2_squared_scalar(queries + i * d, rows + r * d, d);
+    }
   }
 }
 

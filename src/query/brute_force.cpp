@@ -28,6 +28,14 @@ struct TopK {
   }
 };
 
+// Rows scored per block-kernel call: 64 rows of d = 128 are 32 KiB, so a
+// tile and its query block stay in L1/L2 while the per-row loop reads
+// the scores back. A block of more than 64 query vectors gets fewer rows
+// per tile, so the tile's score buffer never exceeds kTileScores (16 KiB)
+// whatever the batch size.
+constexpr std::size_t kTileRows = 64;
+constexpr std::size_t kTileScores = 4096;
+
 }  // namespace
 
 api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
@@ -38,7 +46,15 @@ api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
   const unsigned d = store.dim();
   const std::size_t count = vector_counts.size();
   std::size_t total_vectors = 0;
-  for (const std::size_t c : vector_counts) total_vectors += c;
+  for (std::size_t q = 0; q < count; ++q) {
+    // A query without vectors has no score to rank by.
+    if (vector_counts[q] == 0) {
+      return api::Status::invalid_argument("exact scan: query " +
+                                           std::to_string(q) +
+                                           " holds no vectors");
+    }
+    total_vectors += vector_counts[q];
+  }
   // A malformed count table must be a clean error: in a release build the
   // old assert compiled away and the scan read past the query buffer.
   if (vectors.size() != total_vectors * d) {
@@ -72,15 +88,17 @@ api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
   parallel.grain = options.block_rows > 0 ? options.block_rows : 1;
 
   const unsigned workers = effective_threads(parallel);
-  // scratch[worker][query] — merged after the scan; scores[worker] holds
-  // one similarity per query vector for the row being scanned.
+  // scratch[worker][query] — merged after the scan; tile_scores[worker]
+  // holds one similarity per (tile row, query vector).
   std::vector<std::vector<TopK>> scratch(workers);
   for (auto& per_query : scratch) per_query.resize(count);
-  std::vector<std::vector<float>> block_scores(workers);
+  std::vector<std::vector<float>> tile_scores(workers);
+  const std::size_t tile_rows =
+      std::clamp<std::size_t>(kTileScores / total_vectors, 1, kTileRows);
 
   // The kernel table and the metric branch are resolved out here, once:
-  // the row loop scores every query vector through a single block-kernel
-  // call, then reads the branch-free similarity buffer.
+  // each tile is scored by a single block-kernel call, then the per-row
+  // loop reads the branch-free similarity buffer.
   const simd::KernelTable& kernels = simd::kernels();
   const bool is_l2 = metric == Metric::kL2;
   const bool is_cosine = metric == Metric::kCosine;
@@ -89,46 +107,61 @@ api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
       store.rows(),
       [&](unsigned worker, std::size_t begin, std::size_t end) {
         std::vector<TopK>& local = scratch[worker];
-        std::vector<float>& scores = block_scores[worker];
-        scores.resize(total_vectors);
-        for (std::size_t v = begin; v < end; ++v) {
-          if (filter && !filter(static_cast<vid_t>(v))) continue;
-          const float* row = store.row(static_cast<vid_t>(v)).data();
-          // One register-tiled pass over the row covers the whole query
-          // block — the row's cache lines are touched once per block, not
-          // once per query vector.
+        std::vector<float>& scores = tile_scores[worker];
+        scores.resize(tile_rows * total_vectors);
+        std::size_t v = begin;
+        while (v < end) {
+          // A tile stops at the block's end, at the shard's end (so one
+          // row pointer covers it) and before the first filtered-out row.
+          const std::size_t stop = std::min<std::size_t>(
+              {end, v + tile_rows,
+               v + store.contiguous_rows(static_cast<vid_t>(v))});
+          std::size_t rows = stop - v;
+          if (filter) {
+            rows = 0;
+            while (v + rows < stop && filter(static_cast<vid_t>(v + rows))) {
+              ++rows;
+            }
+          }
+          const float* tile = store.row(static_cast<vid_t>(v)).data();
           if (is_l2) {
-            kernels.l2_block(vectors.data(), total_vectors, row, d,
+            kernels.l2_block(vectors.data(), total_vectors, tile, rows, d,
                              scores.data());
-            for (std::size_t i = 0; i < total_vectors; ++i) {
-              scores[i] = -scores[i];
-            }
           } else {
-            kernels.dot_block(vectors.data(), total_vectors, row, d,
+            kernels.dot_block(vectors.data(), total_vectors, tile, rows, d,
                               scores.data());
-            if (is_cosine) {
-              const float row_inv = inv_norms[v];
+          }
+          for (std::size_t r = 0; r < rows; ++r) {
+            const auto id = static_cast<vid_t>(v + r);
+            float* row_scores = scores.data() + r * total_vectors;
+            if (is_l2) {
               for (std::size_t i = 0; i < total_vectors; ++i) {
-                scores[i] = scores[i] * vector_inv[i] * row_inv;
+                row_scores[i] = -row_scores[i];
+              }
+            } else if (is_cosine) {
+              const float row_inv = inv_norms[id];
+              for (std::size_t i = 0; i < total_vectors; ++i) {
+                row_scores[i] = row_scores[i] * vector_inv[i] * row_inv;
               }
             }
-          }
-          for (std::size_t q = 0; q < count; ++q) {
-            const std::size_t base = first_vector[q];
-            float score = 0.0f;
-            for (std::size_t i = 0; i < vector_counts[q]; ++i) {
-              const float sim = scores[base + i];
+            for (std::size_t q = 0; q < count; ++q) {
+              const float* sims = row_scores + first_vector[q];
+              float score = 0.0f;
+              for (std::size_t i = 0; i < vector_counts[q]; ++i) {
+                if (aggregate == Aggregate::kMean) {
+                  score += sims[i];
+                } else if (i == 0 || sims[i] > score) {
+                  score = sims[i];
+                }
+              }
               if (aggregate == Aggregate::kMean) {
-                score += sim;
-              } else if (i == 0 || sim > score) {
-                score = sim;
+                score /= static_cast<float>(vector_counts[q]);
               }
+              local[q].offer(k, {id, score});
             }
-            if (aggregate == Aggregate::kMean && vector_counts[q] > 0) {
-              score /= static_cast<float>(vector_counts[q]);
-            }
-            local[q].offer(k, {static_cast<vid_t>(v), score});
           }
+          // Past the tile, and past the row that failed the filter.
+          v += rows < stop - v ? rows + 1 : rows;
         }
       },
       parallel);

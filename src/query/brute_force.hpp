@@ -9,17 +9,23 @@
 // query while the rows are hot in cache. That batched scan is what the
 // BatchQueue coalesces concurrent requests into.
 //
-// Inside a block the scan is register-tiled: each stored row is scored
-// against the whole query block through one gosh::simd dot_block/l2_block
-// call (the metric branch is hoisted out of the row loop entirely), so the
-// row's cache lines are loaded once per query block instead of once per
-// query vector. Scores are bit-identical across thread counts and block
-// shapes at a fixed SIMD ISA.
+// Inside a block the scan walks tiles of up to 64 contiguous rows (fewer
+// when the query block holds more than 64 vectors, so a tile never holds
+// more than 4096 scores). A tile stops at the block's end, at the shard's
+// end and before a row the filter rejects, so one row pointer covers it;
+// one gosh::simd dot_block/l2_block call scores it against the whole
+// query block (the metric branch is hoisted out of the row loop
+// entirely). The per-row work that remains reads the tile's score buffer:
+// L2 negation, cosine scaling, the aggregate and the top-k gate. Every
+// (query, row) score is accumulated exactly as dot()/l2_squared() would,
+// so scores are bit-identical across thread counts, block shapes and
+// tiles at a fixed SIMD ISA.
 //
-// Malformed shapes (query buffer vs vector_counts/dim mismatch, missing
-// cosine norms) are kInvalidArgument — the scan is below the service
-// layer's own validation, but release builds must not turn a bad count
-// table into an out-of-bounds read.
+// Malformed shapes (query buffer vs vector_counts/dim mismatch, a query
+// with no vectors, missing cosine norms) are kInvalidArgument — the scan
+// is below the service layer's own validation, but release builds must
+// not turn a bad count table into an out-of-bounds read or a made-up
+// answer.
 #pragma once
 
 #include <cstddef>

@@ -311,6 +311,11 @@ api::Result<EmbeddingStore> EmbeddingStore::open(const std::string& path,
       if (header.row_begin != s * store.rows_per_shard_)
         return io_fail(file, "shard row_begin breaks the equal-split layout");
     }
+    // row() finds a row's shard by one division, and contiguous_rows()
+    // trusts the shard it lands in to hold the rows up to the next shard's
+    // start: a short middle shard would turn both into over-reads.
+    if (s + 1 < shard_count && header.shard_rows != store.rows_per_shard_)
+      return io_fail(file, "shard row count breaks the equal-split layout");
 
     const std::size_t payload_bytes =
         static_cast<std::size_t>(header.shard_rows) * store.dim_ *

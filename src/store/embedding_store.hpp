@@ -117,13 +117,17 @@ class EmbeddingStore {
   /// Zero-copy view of row `v` straight out of the mapping. Valid while
   /// the store is alive; `v` must be < rows().
   std::span<const emb_t> row(vid_t v) const noexcept {
-    const std::uint64_t global = v;
-    std::size_t s = static_cast<std::size_t>(global / rows_per_shard_);
-    if (s >= shards_.size()) s = shards_.size() - 1;  // defensive clamp
-    const Shard& shard = shards_[s];
-    return {shard.payload +
-                static_cast<std::size_t>(global - shard.row_begin) * dim_,
-            dim_};
+    const Shard& shard = shard_of(v);
+    const auto offset = static_cast<std::size_t>(v - shard.row_begin) * dim_;
+    return {shard.payload + offset, dim_};
+  }
+
+  /// How many rows, starting at `v`, lie back to back after row(v).data():
+  /// the rest of v's shard, at least 1. The exact scan reads that many
+  /// rows through one pointer. `v` must be < rows().
+  std::uint64_t contiguous_rows(vid_t v) const noexcept {
+    const Shard& shard = shard_of(v);
+    return shard.row_begin + shard.rows - v;
   }
 
   /// Materializes the whole store into an in-memory matrix (the bridge to
@@ -139,6 +143,12 @@ class EmbeddingStore {
     std::uint64_t row_begin = 0;
     std::uint64_t rows = 0;
   };
+
+  const Shard& shard_of(vid_t v) const noexcept {
+    std::size_t s = static_cast<std::size_t>(v / rows_per_shard_);
+    if (s >= shards_.size()) s = shards_.size() - 1;  // defensive clamp
+    return shards_[s];
+  }
 
   void release() noexcept;
 

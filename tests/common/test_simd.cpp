@@ -1,7 +1,7 @@
 // gosh::simd — SIMD-vs-scalar parity across every dim 1..130 (odd tails
 // and non-multiples of every vector width included), block-kernel
-// consistency with the single-pair kernels, dispatch resolution, and the
-// force/restore switch.
+// consistency with the single-pair kernels over query blocks and row
+// tiles, dispatch resolution, and the force/restore switch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -151,28 +151,41 @@ TEST(Simd, UpdateEmbeddingMatchesScalarReference) {
   }
 }
 
+// Tile heights around the four-row step and the scan's 64-row tile.
+constexpr std::size_t kRowCounts[] = {1, 2, 3, 4, 5, 7, 8, 63, 64, 65};
+
 // dot_block/l2_block must agree BITWISE with their single-pair kernels at
 // the same ISA (the determinism contract of the exact scan), for every
-// block size around the register-tile width and every awkward dim.
+// (query, row) pair of every block size around the register-tile width,
+// every tile height and every awkward dim.
 TEST(Simd, BlockKernelsAgreeBitwiseWithSinglePairKernels) {
   Rng rng(19);
   for (const Isa isa : available_isas()) {
     const KernelTable& table = *kernel_table(isa);
     for (const unsigned d : {1u, 5u, 8u, 17u, 64u, 130u}) {
       for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 9u, 16u}) {
-        const auto queries = random_vector(count * d, rng);
-        const auto row = random_vector(d, rng);
-        std::vector<float> dots(count), l2s(count);
-        table.dot_block(queries.data(), count, row.data(), d, dots.data());
-        table.l2_block(queries.data(), count, row.data(), d, l2s.data());
-        for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(dots[i], table.dot(queries.data() + i * d, row.data(), d))
-              << "dot_block " << isa_name(isa) << " d=" << d
-              << " count=" << count << " i=" << i;
-          EXPECT_EQ(l2s[i],
-                    table.l2_squared(queries.data() + i * d, row.data(), d))
-              << "l2_block " << isa_name(isa) << " d=" << d
-              << " count=" << count << " i=" << i;
+        for (const std::size_t rows : kRowCounts) {
+          const auto queries = random_vector(count * d, rng);
+          const auto tile = random_vector(rows * d, rng);
+          std::vector<float> dots(rows * count), l2s(rows * count);
+          table.dot_block(queries.data(), count, tile.data(), rows, d,
+                          dots.data());
+          table.l2_block(queries.data(), count, tile.data(), rows, d,
+                         l2s.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            const float* row = tile.data() + r * d;
+            for (std::size_t i = 0; i < count; ++i) {
+              const float* query = queries.data() + i * d;
+              EXPECT_EQ(dots[r * count + i], table.dot(query, row, d))
+                  << "dot_block " << isa_name(isa) << " d=" << d
+                  << " count=" << count << " rows=" << rows << " r=" << r
+                  << " i=" << i;
+              EXPECT_EQ(l2s[r * count + i], table.l2_squared(query, row, d))
+                  << "l2_block " << isa_name(isa) << " d=" << d
+                  << " count=" << count << " rows=" << rows << " r=" << r
+                  << " i=" << i;
+            }
+          }
         }
       }
     }
@@ -186,18 +199,24 @@ TEST(Simd, BlockKernelsMatchScalarAcrossAllDims) {
   for (const Isa isa : available_isas()) {
     const KernelTable& table = *kernel_table(isa);
     for (unsigned d = 1; d <= kMaxDim; ++d) {
-      const auto queries = random_vector(kCount * d, rng);
-      const auto row = random_vector(d, rng);
-      std::vector<float> got(kCount), ref(kCount);
-      table.dot_block(queries.data(), kCount, row.data(), d, got.data());
-      scalar.dot_block(queries.data(), kCount, row.data(), d, ref.data());
-      for (std::size_t i = 0; i < kCount; ++i) {
-        expect_close(got[i], ref[i], "dot_block", d, isa_name(isa));
-      }
-      table.l2_block(queries.data(), kCount, row.data(), d, got.data());
-      scalar.l2_block(queries.data(), kCount, row.data(), d, ref.data());
-      for (std::size_t i = 0; i < kCount; ++i) {
-        expect_close(got[i], ref[i], "l2_block", d, isa_name(isa));
+      for (const std::size_t rows : kRowCounts) {
+        const auto queries = random_vector(kCount * d, rng);
+        const auto tile = random_vector(rows * d, rng);
+        std::vector<float> got(rows * kCount), ref(rows * kCount);
+        table.dot_block(queries.data(), kCount, tile.data(), rows, d,
+                        got.data());
+        scalar.dot_block(queries.data(), kCount, tile.data(), rows, d,
+                         ref.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          expect_close(got[i], ref[i], "dot_block", d, isa_name(isa));
+        }
+        table.l2_block(queries.data(), kCount, tile.data(), rows, d,
+                       got.data());
+        scalar.l2_block(queries.data(), kCount, tile.data(), rows, d,
+                        ref.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          expect_close(got[i], ref[i], "l2_block", d, isa_name(isa));
+        }
       }
     }
   }

@@ -1,7 +1,8 @@
-// Exact blocked scan — agreement with a naive reference under every
-// metric, batch/single consistency, determinism across thread counts and
-// block sizes (at every available SIMD ISA), malformed-shape Status
-// propagation, and edge cases (k > rows, tie ordering).
+// Exact blocked scan — bitwise agreement with a naive per-row reference
+// under every metric at every available SIMD ISA, batch/single
+// consistency, determinism across thread counts and block sizes,
+// malformed-shape Status propagation, and edge cases (k > rows, tie
+// ordering).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gosh/common/rng.hpp"
@@ -75,18 +77,44 @@ std::vector<Neighbor> reference_top_k(const store::EmbeddingStore& store,
   return all;
 }
 
+// The tiled scan scores every (query, row) pair exactly as the per-row
+// kernels do: ids AND score bits match a naive per-row reference at every
+// ISA. The shard sizes (rows/3 + 1 = 33, 101, 44) and block sizes are not
+// multiples of the 64-row tile, so tiles end at blocks, shards and both.
 TEST(BruteForce, MatchesNaiveReferenceUnderEveryMetric) {
-  Fixture fx(97, 9);
-  const auto query = fx.store.row(13);
-  for (const Metric metric : {Metric::kCosine, Metric::kDot, Metric::kL2}) {
-    const auto inv = row_inverse_norms(fx.store, metric);
-    const auto got = must(scan_top_k(fx.store, query, 7, metric, inv));
-    const auto expected = reference_top_k(fx.store, query, 7, metric);
-    ASSERT_EQ(got.size(), expected.size()) << metric_name(metric);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, expected[i].id)
-          << metric_name(metric) << " rank " << i;
-      EXPECT_FLOAT_EQ(got[i].score, expected[i].score);
+  simd::ScopedIsa guard;
+  for (const auto& [rows, dim] : {std::pair<vid_t, unsigned>{97, 9},
+                                  std::pair<vid_t, unsigned>{300, 37},
+                                  std::pair<vid_t, unsigned>{130, 128}}) {
+    Fixture fx(rows, dim);
+    const auto query = fx.store.row(13);
+    for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
+                                simd::Isa::kAvx512, simd::Isa::kNeon}) {
+      if (simd::kernel_table(isa) == nullptr) continue;
+      ASSERT_TRUE(simd::force_isa(isa));
+      for (const Metric metric : {Metric::kCosine, Metric::kDot, Metric::kL2}) {
+        const auto inv = row_inverse_norms(fx.store, metric);
+        const auto expected = reference_top_k(fx.store, query, 25, metric);
+        for (const ScanOptions options :
+             {ScanOptions{}, ScanOptions{.threads = 1, .block_rows = 1},
+              ScanOptions{.threads = 3, .block_rows = 7},
+              ScanOptions{.threads = 2, .block_rows = 63},
+              ScanOptions{.threads = 4, .block_rows = 65}}) {
+          const auto got =
+              must(scan_top_k(fx.store, query, 25, metric, inv, options));
+          ASSERT_EQ(got.size(), expected.size()) << metric_name(metric);
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, expected[i].id)
+                << simd::isa_name(isa) << " " << metric_name(metric)
+                << " rows " << rows << " block " << options.block_rows
+                << " rank " << i;
+            EXPECT_EQ(got[i].score, expected[i].score)
+                << simd::isa_name(isa) << " " << metric_name(metric)
+                << " rows " << rows << " block " << options.block_rows
+                << " rank " << i;
+          }
+        }
+      }
     }
   }
 }
@@ -171,6 +199,14 @@ TEST(BruteForce, MalformedVectorCountsAreInvalidArgumentNotAnOverread) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), api::StatusCode::kInvalidArgument);
 
+  // A query with no vectors: the buffer matches the counts' sum, but the
+  // empty query has nothing to rank by.
+  const std::vector<std::size_t> empty_first = {0, 1};
+  const auto empty = scan_top_k_multi(fx.store, query, empty_first, 5,
+                                      Metric::kCosine, inv, Aggregate::kMax, {});
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), api::StatusCode::kInvalidArgument);
+
   // Batch variant with a short buffer fails the same way.
   const auto batched =
       scan_top_k_batch(fx.store, query, 3, 5, Metric::kCosine, inv);
@@ -187,25 +223,33 @@ TEST(BruteForce, MissingCosineNormsAreInvalidArgument) {
   EXPECT_EQ(got.status().code(), api::StatusCode::kInvalidArgument);
 }
 
+// A batch answers every query exactly as its own scan does, ids and score
+// bits, also when its 130 query vectors cap the tile at 31 rows (the
+// tile's score budget) while single scans take 64.
 TEST(BruteForce, BatchAgreesWithSingleQueries) {
-  Fixture fx(64, 8);
+  Fixture fx(200, 8);
   const unsigned d = fx.store.dim();
   const auto inv = row_inverse_norms(fx.store, Metric::kL2);
-  std::vector<float> queries;
-  for (const vid_t v : {3u, 31u, 63u}) {
-    const auto row = fx.store.row(v);
-    queries.insert(queries.end(), row.begin(), row.end());
-  }
-  const auto batched =
-      must(scan_top_k_batch(fx.store, queries, 3, 5, Metric::kL2, inv));
-  ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t q = 0; q < 3; ++q) {
-    const auto single = must(scan_top_k(
-             fx.store, std::span<const float>(queries).subspan(q * d, d), 5,
-             Metric::kL2, inv));
-    ASSERT_EQ(batched[q].size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[q][i].id, single[i].id);
+  std::vector<vid_t> large;
+  for (vid_t q = 0; q < 130; ++q) large.push_back((q * 7 + 1) % 200);
+  for (const std::vector<vid_t>& ids : {std::vector<vid_t>{3, 31, 63}, large}) {
+    std::vector<float> queries;
+    for (const vid_t v : ids) {
+      const auto row = fx.store.row(v);
+      queries.insert(queries.end(), row.begin(), row.end());
+    }
+    const auto batched = must(
+        scan_top_k_batch(fx.store, queries, ids.size(), 5, Metric::kL2, inv));
+    ASSERT_EQ(batched.size(), ids.size());
+    for (std::size_t q = 0; q < ids.size(); ++q) {
+      const auto single = must(scan_top_k(
+          fx.store, std::span<const float>(queries).subspan(q * d, d), 5,
+          Metric::kL2, inv));
+      ASSERT_EQ(batched[q].size(), single.size());
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        EXPECT_EQ(batched[q][i].id, single[i].id) << "query " << q;
+        EXPECT_EQ(batched[q][i].score, single[i].score) << "query " << q;
+      }
     }
   }
 }

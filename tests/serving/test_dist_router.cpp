@@ -4,6 +4,8 @@
 // the child is back (suite DistRouter* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -40,7 +42,10 @@ struct DistFixture {
       auto dst = matrix.row(v + third);
       std::copy(src.begin(), src.end(), dst.begin());
     }
-    const std::string base = testing::TempDir() + "dist_router";
+    // getpid(): concurrent `ctest -j` test processes must not rewrite
+    // (truncate) a store another one has mapped.
+    const std::string base =
+        testing::TempDir() + "dist_router_" + std::to_string(::getpid());
     sharded_path = base + ".sharded.gshs";
     flat_path = base + ".flat.gshs";
     const std::uint64_t per_shard = rows / 3 + 1;

@@ -6,6 +6,8 @@
 // the TSan CI filter).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -125,7 +127,10 @@ struct FlatFixture {
   FlatFixture() {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(17);
-    path = testing::TempDir() + "remote_flat.gshs";
+    // getpid(): concurrent `ctest -j` test processes must not rewrite
+    // (truncate) a store another one has mapped.
+    path = testing::TempDir() + "remote_flat_" + std::to_string(::getpid()) +
+           ".gshs";
     EXPECT_TRUE(store::EmbeddingStore::write(matrix, path, {}).is_ok());
   }
   ~FlatFixture() { std::remove(path.c_str()); }

@@ -4,6 +4,8 @@
 // (suite Router* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -39,7 +41,10 @@ struct ShardedFixture {
       std::copy(src.begin(), src.end(), dst.begin());
     }
 
+    // getpid(): concurrent `ctest -j` test processes must not rewrite
+    // (truncate) a store another one has mapped.
     const std::string base = testing::TempDir() + "router_" +
+                             std::to_string(::getpid()) + "_" +
                              std::to_string(rows) + "_" +
                              std::to_string(dim);
     sharded_path = base + ".sharded.gshs";

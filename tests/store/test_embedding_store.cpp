@@ -4,8 +4,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "gosh/store/embedding_store.hpp"
@@ -73,6 +76,13 @@ TEST(EmbeddingStore, ShardedRoundTripCrossesShardBoundaries) {
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   EXPECT_EQ(opened.value().num_shards(), 5u);
   expect_rows_match(matrix, opened.value());
+  // contiguous_rows: the rest of the row's shard, read through row(v).
+  for (vid_t v = 0; v < 33; ++v) {
+    const std::uint64_t next_shard = std::min<std::uint64_t>(v / 8 * 8 + 8, 33);
+    EXPECT_EQ(opened.value().contiguous_rows(v), next_shard - v) << v;
+    EXPECT_EQ(opened.value().row(v).data() + (next_shard - v - 1) * 5,
+              opened.value().row(static_cast<vid_t>(next_shard - 1)).data());
+  }
 
   // Shard naming: root is shard 0, siblings carry the 4-digit suffix.
   EXPECT_EQ(EmbeddingStore::shard_path(path, 0, 5), path);
@@ -183,6 +193,45 @@ TEST(EmbeddingStore, CorruptHeaderRejected) {
   EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
   EXPECT_NE(opened.status().message().find("checksum"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Rewrites one shard file as holding `rows` rows (payload cut or
+// zero-padded to match) with both checksums recomputed, so only the
+// layout checks can object to it.
+void rewrite_shard_rows(const std::string& file, std::uint64_t rows) {
+  std::ifstream in(file, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GE(bytes.size(), 4096u);
+  std::uint64_t dim = 0;
+  std::memcpy(&dim, bytes.data() + 24, sizeof(dim));
+  std::memcpy(bytes.data() + 40, &rows, sizeof(rows));
+  bytes.resize(4096 + rows * dim * sizeof(float), '\0');
+  const std::uint64_t payload =
+      fnv1a64(bytes.data() + 4096, bytes.size() - 4096);
+  std::memcpy(bytes.data() + 56, &payload, sizeof(payload));
+  const std::uint64_t header = fnv1a64(bytes.data(), 64);
+  std::memcpy(bytes.data() + 64, &header, sizeof(header));
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Every shard but the last holds rows_per_shard rows: a short middle
+// shard whose rows a longer neighbour makes up still adds up to
+// total_rows, but row() would read past its payload.
+TEST(EmbeddingStore, ShortMiddleShardRejected) {
+  const std::string path = temp_path("store_short_middle.gshs");
+  ASSERT_TRUE(
+      EmbeddingStore::write(sample_matrix(40, 4), path, {.rows_per_shard = 10})
+          .is_ok());
+  rewrite_shard_rows(EmbeddingStore::shard_path(path, 1, 4), 5);
+  rewrite_shard_rows(EmbeddingStore::shard_path(path, 2, 4), 15);
+  auto opened = EmbeddingStore::open(path);
+  EXPECT_EQ(opened.status().code(), api::StatusCode::kIoError);
+  EXPECT_NE(opened.status().message().find("row count"), std::string::npos)
+      << opened.status().to_string();
+  remove_store(path, 4);
 }
 
 TEST(EmbeddingStore, ProbeReadsTheLayoutWithoutMapping) {
