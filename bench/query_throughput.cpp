@@ -3,8 +3,8 @@
 // Makes the serving path measurable the way the table/figure harnesses
 // measure the training paths: writes a synthetic embedding matrix as a
 // sharded mmap-served store, builds the HNSW index beside it, then drives
-// ServiceRegistry-created QueryService objects ("exact", "hnsw", the
-// sharded "router", and the coalescing "batched" strategy) and reports
+// ServiceRegistry-created QueryService objects ("exact", "hnsw" and the
+// sharded "router", then "exact" under concurrent submitters) and reports
 // queries/sec plus p50/p99 latency from MetricsRegistry histograms — not
 // ad-hoc averages.
 //
@@ -22,6 +22,13 @@
 // Defaults: 20000 rows, dim 64, 512 queries, k 10, threads 1,4, batch 64,
 // zipf-s 1.0.
 //
+// The concurrent-submitter sweep runs "exact" once per thread count T of
+// the grid with T scan threads and T submitter threads sharing the
+// probes, so the exact strategy's combiner folds concurrent requests into
+// shared passes of at most --batch queries. Besides q/s and request
+// latency it reports queries per pass: gosh_serving_batch_queries_total /
+// gosh_serving_batches_total from that row's own registry.
+//
 // --trace prices the gosh::trace layer on the in-process path: "off"
 // leaves the global gate down (every TRACE_SPAN in the scan reduces to one
 // relaxed atomic load), "on" wraps every request in a sampled trace,
@@ -35,9 +42,11 @@
 // {off, 0.95, 0.99, 1.0} and reports queries/s, hit rate, and recall@k of
 // cache-served answers against the uncached exact ground truth; the
 // threshold-1.0 row is asserted bit-identical to that ground truth.
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gosh/api/api.hpp"
@@ -232,41 +241,69 @@ int main(int argc, char** argv) {
   }
   simd::force_isa(guard.entry());
 
-  // Batched strategy at the last thread count and the entry ISA:
-  // concurrent submitters, coalesced scans; latency profile from the
-  // registry's serving histograms (enqueue -> fulfillment, the number a
-  // caller feels).
+  // Exact with concurrent submitters at the entry ISA, one row per thread
+  // count: T submitters pull probes off a shared cursor, each request a
+  // single vertex query, and concurrent ones share passes.
   {
-    serving::ServeOptions options = base;
-    options.strategy = "batched";
-    options.threads = thread_counts.back();
-    auto service = serving::make_service(options, &metrics);
-    if (!service.ok()) return fail(service.status());
+    const std::string isa_label(simd::isa_name(simd::active_isa()));
+    std::printf("\nexact, concurrent submitters (max_batch %zu, %s)\n", batch,
+                isa_label.c_str());
+    std::printf("%10s %8s %12s %12s %12s %14s\n", "submitters", "threads",
+                "queries/s", "p50 ms", "p99 ms", "queries/pass");
+    for (const unsigned threads : thread_counts) {
+      serving::MetricsRegistry pass_metrics;  // fresh counters per row
+      serving::ServeOptions options = base;
+      options.strategy = "exact";
+      options.threads = threads;
+      auto service = serving::make_service(options, &pass_metrics);
+      if (!service.ok()) return fail(service.status());
 
-    serving::QueryRequest request;
-    request.queries.reserve(num_queries);
-    for (const vid_t probe : probes) {
-      request.queries.push_back(serving::Query::vertex(probe));
+      std::atomic<std::size_t> next{0};
+      std::atomic<bool> served_all{true};
+      timer.reset();
+      std::vector<std::thread> submitters;
+      submitters.reserve(threads);
+      for (unsigned s = 0; s < threads; ++s) {
+        submitters.emplace_back([&] {
+          for (std::size_t i = next.fetch_add(1); i < num_queries;
+               i = next.fetch_add(1)) {
+            if (!traced_serve(*service.value(),
+                              serving::QueryRequest::for_vertex(probes[i], k))
+                     .ok()) {
+              served_all.store(false);
+            }
+          }
+        });
+      }
+      for (std::thread& submitter : submitters) submitter.join();
+      const double seconds = timer.seconds();
+      if (!served_all.load()) {
+        std::fprintf(stderr, "error: a concurrent exact request failed\n");
+        return 1;
+      }
+      const double qps = num_queries / (seconds > 0 ? seconds : 1e-9);
+      const serving::Histogram& latency =
+          pass_metrics.histogram("gosh_serving_request_latency_seconds");
+      const auto passes = static_cast<double>(
+          pass_metrics.counter("gosh_serving_batches_total").value());
+      const double per_pass =
+          passes > 0
+              ? static_cast<double>(
+                    pass_metrics.counter("gosh_serving_batch_queries_total")
+                        .value()) /
+                    passes
+              : 0.0;
+      std::printf("%10u %8u %12.1f %12.4f %12.4f %14.2f\n", threads, threads,
+                  qps, 1e3 * latency.quantile(0.5),
+                  1e3 * latency.quantile(0.99), per_pass);
+      auto params = shape_params("exact");
+      params.emplace_back("submitters", std::to_string(threads));
+      char buffer[32];
+      std::snprintf(buffer, sizeof buffer, "%.2f", per_pass);
+      params.emplace_back("queries_per_pass", buffer);
+      records.push_back({"query_throughput_concurrent", std::move(params), qps,
+                         "queries/s", isa_label, threads});
     }
-    timer.reset();
-    auto response = traced_serve(*service.value(), request);
-    if (!response.ok()) return fail(response.status());
-    const double seconds = timer.seconds();
-    const double qps = num_queries / (seconds > 0 ? seconds : 1e-9);
-
-    const serving::Histogram& latency =
-        metrics.histogram("gosh_serving_request_latency_seconds");
-    std::printf(
-        "\nbatched (max_batch %zu, %u threads, %s): %.1f queries/s, "
-        "request latency p50 %.3f ms / p99 %.3f ms over %llu served\n",
-        batch, thread_counts.back(),
-        std::string(simd::isa_name(simd::active_isa())).c_str(), qps,
-        1e3 * latency.quantile(0.5), 1e3 * latency.quantile(0.99),
-        static_cast<unsigned long long>(latency.count()));
-    records.push_back({"query_throughput", shape_params("batched"), qps,
-                       "queries/s",
-                       std::string(simd::isa_name(simd::active_isa())),
-                       thread_counts.back()});
   }
 
   // Semantic cache sweep: the same Zipf-skewed probes replayed through

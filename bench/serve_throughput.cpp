@@ -41,8 +41,8 @@
 // what admission control and the tail quantiles see).
 // --expect-traces (connect mode) POSTs one query with an explicit
 // X-Request-Id and asserts GET /debug/traces reports the span chain under
-// that id — handler -> queue-wait -> scan -> merge when the answer came
-// from a scan, handler -> cache-lookup when the server's semantic cache
+// that id — handler -> queue-wait -> scan when the answer came from an
+// exact scan, handler -> cache-lookup when the server's semantic cache
 // answered (the response's "cache" annotation picks the expectation).
 // --expect-cache (connect mode) POSTs the same query twice so the second
 // is a guaranteed exact-byte hit, asserts the "cache":["hit"] annotation,
@@ -322,14 +322,14 @@ int traced_post(net::HttpClient& client, const std::string& id, vid_t probe,
 
 /// The tracing acceptance probe: one POST under a client-chosen request
 /// id, then /debug/traces must report the span chain for exactly that id,
-/// as strict JSON. A scan-served answer must show the batched strategy's
-/// nested handler -> queue-wait -> scan -> merge chain. With the semantic
-/// cache in the path the response annotation decides: a hit must show
-/// handler -> cache-lookup, and a miss handler -> cache-lookup -> scan ->
-/// cache-insert — the cache's k+1 over-fetch makes its sub-request
-/// non-queueable, so misses reach the engine directly, not through the
-/// BatchQueue. Requires the server to run --strategy batched with
-/// sampling on — the smoke test's configuration.
+/// as strict JSON. A scan-served answer must show the exact strategy's
+/// handler -> queue-wait -> scan chain (the wait for, then the time of,
+/// the shared pass that answered it). With the semantic cache in the path
+/// the response annotation decides: a hit must show handler ->
+/// cache-lookup, and a miss handler -> cache-lookup -> queue-wait -> scan
+/// -> cache-insert. Requires a server whose store has no index beside it
+/// (so "auto" and its alias "batched" serve exact) with sampling on — the
+/// smoke test's configuration.
 int verify_traces(const std::string& host, unsigned short port, unsigned k) {
   net::HttpClient client(host, port);
   const std::string id = "smoke-trace-probe";
@@ -339,9 +339,10 @@ int verify_traces(const std::string& host, unsigned short port, unsigned k) {
   const bool hit = annotation == "hit";
   const std::vector<const char*> expected =
       annotation.empty()
-          ? std::vector<const char*>{"handler", "queue-wait", "scan", "merge"}
+          ? std::vector<const char*>{"handler", "queue-wait", "scan"}
           : (hit ? std::vector<const char*>{"handler", "cache-lookup"}
-                 : std::vector<const char*>{"handler", "cache-lookup", "scan",
+                 : std::vector<const char*>{"handler", "cache-lookup",
+                                            "queue-wait", "scan",
                                             "cache-insert"});
   std::vector<std::string> missing;
   if (int rc = spans_for_id(client, id, expected, missing); rc != 0) return rc;
@@ -766,14 +767,28 @@ int main(int argc, char** argv) {
     return fail(status);
   }
 
-  std::printf("\n%-12s %8s %12s %12s %12s %12s %10s\n", "transport", "conc",
-              "queries/s", "p50 ms", "p99 ms", "p999 ms", "vs direct");
+  // Queries per pass: growth of the exact strategy's pass counters (the
+  // series /metrics exposes) over each concurrency level.
+  serving::Counter& passes = server_metrics.counter("gosh_serving_batches_total");
+  serving::Counter& pass_queries =
+      server_metrics.counter("gosh_serving_batch_queries_total");
+  std::printf("\n%-12s %8s %12s %12s %12s %12s %10s %8s\n", "transport",
+              "conc", "queries/s", "p50 ms", "p99 ms", "p999 ms", "vs direct",
+              "q/pass");
   double qps_at_max = 0.0;
   for (const unsigned concurrency : concurrency_levels) {
     serving::Histogram& latency = client_metrics.histogram(
         "bench_http_latency_seconds_c" + std::to_string(concurrency));
+    const std::uint64_t passes_before = passes.value();
+    const std::uint64_t queries_before = pass_queries.value();
     const LoadResult load = run_closed_loop("127.0.0.1", server.port(), probes,
                                             k, concurrency, latency);
+    const std::uint64_t level_passes = passes.value() - passes_before;
+    const double per_pass =
+        level_passes > 0
+            ? static_cast<double>(pass_queries.value() - queries_before) /
+                  static_cast<double>(level_passes)
+            : 0.0;
     if (load.failed > 0 || load.shed_429 > 0) {
       std::fprintf(stderr, "error: %llu failed / %llu shed with no limiter\n",
                    static_cast<unsigned long long>(load.failed),
@@ -784,12 +799,16 @@ int main(int argc, char** argv) {
     const double qps =
         load.ok_2xx / (load.seconds > 0 ? load.seconds : 1e-9);
     if (concurrency == max_concurrency) qps_at_max = qps;
-    std::printf("%-12s %8u %12.1f %12.4f %12.4f %12.4f %9.1f%%\n", "http",
-                concurrency, qps, 1e3 * latency.quantile(0.5),
+    std::printf("%-12s %8u %12.1f %12.4f %12.4f %12.4f %9.1f%% %8.2f\n",
+                "http", concurrency, qps, 1e3 * latency.quantile(0.5),
                 1e3 * latency.quantile(0.99), 1e3 * latency.quantile(0.999),
-                100.0 * qps / inprocess_qps);
-    records.push_back({"serve_throughput", shape_params(concurrency, "http"),
-                       qps, "queries/s", isa_label, concurrency});
+                100.0 * qps / inprocess_qps, per_pass);
+    auto params = shape_params(concurrency, "http");
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.2f", per_pass);
+    params.emplace_back("queries_per_pass", buffer);
+    records.push_back({"serve_throughput", std::move(params), qps,
+                       "queries/s", isa_label, concurrency});
   }
   std::printf("http at concurrency %u sustains %.1f%% of the in-process scan\n",
               max_concurrency, 100.0 * qps_at_max / inprocess_qps);

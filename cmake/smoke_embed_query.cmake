@@ -3,8 +3,9 @@
 #   2. gosh_embed trains it and persists a SHARDED GSHS store,
 #   3. gosh_query builds the HNSW index beside the store,
 #   4. gosh_query serves vertex + raw-vector + multi-vector + filtered
-#      queries through every ServiceRegistry strategy (exact, hnsw,
-#      batched, the sharded router, auto) and dumps a metrics exposition,
+#      queries through every ServiceRegistry strategy (exact, hnsw, the
+#      sharded router, auto, and batched, its alias) and dumps a metrics
+#      exposition,
 #   5. gosh_query --eval checks HNSW recall against the exact scan.
 #
 # Expects -DGOSH_EMBED=..., -DGOSH_QUERY=..., -DWORK_DIR=...

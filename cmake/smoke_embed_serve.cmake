@@ -2,7 +2,8 @@
 #   1. write a small community-structured edge list,
 #   2. gosh_embed trains it and persists a GSHS store,
 #   3. gosh_serve starts in the background on an EPHEMERAL port with the
-#      batched strategy behind the semantic cache (--cache
+#      batched strategy (an alias of auto, so exact here: no index is
+#      built) behind the semantic cache (--cache
 #      --cache-threshold 0.99) and full tracing (--trace-sample-rate 1
 #      --trace-out), announcing the port through --port-file (written
 #      temp+rename, so this script can poll without ever reading a
@@ -144,15 +145,14 @@ message(STATUS "gosh_serve exited cleanly; log:\n${log}")
 
 # The exit path must have flushed the trace ring: a Chrome trace JSON
 # with the span events the probe asserted over the wire. Both cache
-# halves must appear: cache-lookup on every query, scan + cache-insert on
-# the misses. (No queue-wait here — the cache's k+1 over-fetch makes its
-# sub-requests non-queueable, so misses reach the engine directly.)
+# halves must appear: cache-lookup on every query, queue-wait + scan +
+# cache-insert on the misses.
 if(NOT EXISTS ${trace_file})
   message(FATAL_ERROR "gosh_serve --trace-out left no ${trace_file}")
 endif()
 file(READ ${trace_file} trace_json)
 foreach(needle "\"traceEvents\"" "\"handler\"" "\"cache-lookup\""
-        "\"scan\"" "\"cache-insert\"")
+        "\"queue-wait\"" "\"scan\"" "\"cache-insert\"")
   string(FIND "${trace_json}" ${needle} at)
   if(at EQUAL -1)
     message(FATAL_ERROR

@@ -82,7 +82,7 @@ inline const char* serve_flags_usage() {
       "  --metric M             cosine|dot|l2 (default cosine)\n"
       "  --aggregate A          multi-vector combine rule: max|mean\n"
       "  --filter LO:HI         only ids in [LO, HI) may appear in answers\n"
-      "  --batch B              max requests coalesced per scan (batched)\n"
+      "  --batch B              most queries one shared exact pass answers\n"
       "  --cache                wrap the strategy behind the semantic result\n"
       "                         cache (same as a cached:<strategy> name)\n"
       "  --cache-threshold T    cosine floor for proximity hits in [0, 1];\n"

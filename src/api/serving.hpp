@@ -2,11 +2,11 @@
 //
 // The public surface is gosh::serving — the QueryService interface with
 // its QueryRequest/QueryResponse model, the string-keyed ServiceRegistry
-// ("exact", "hnsw", "batched", "router", "auto"), structured ServeOptions,
-// the sharded-store Router, and the MetricsRegistry sink. The engine
-// internals it is built from (gosh/store/ mmap store, gosh/query/ scans +
-// HNSW + BatchQueue) ride along for programmatic composition, but tools,
-// benches and examples should speak QueryService only.
+// ("exact", "hnsw", "router", "auto", ...), structured ServeOptions, the
+// sharded-store Router, and the MetricsRegistry sink. The engine internals
+// it is built from (gosh/store/ mmap store, gosh/query/ scans + HNSW) ride
+// along for programmatic composition, but tools, benches and examples
+// should speak QueryService only.
 #pragma once
 
 #include "gosh/serving/metrics.hpp"
@@ -15,7 +15,6 @@
 #include "gosh/serving/router.hpp"
 #include "gosh/serving/service.hpp"
 
-#include "gosh/query/batch_queue.hpp"
 #include "gosh/query/brute_force.hpp"
 #include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"

@@ -12,8 +12,7 @@
 //
 // Not every request is expressible as a cache key. Filters, metric/ef
 // overrides and multi-vector queries pass straight through the inner
-// service and are reported as `cache-skip` — the BatchedService::queueable
-// fall-through pattern, applied to caching.
+// service and are reported as `cache-skip`.
 #pragma once
 
 #include <atomic>

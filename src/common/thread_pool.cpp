@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace gosh {
+namespace {
+
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
@@ -38,7 +43,12 @@ void ThreadPool::submit_detached(std::function<void()> fn) {
   cv_.notify_one();
 }
 
+bool ThreadPool::on_worker_thread() const noexcept {
+  return t_worker_of == this;
+}
+
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -39,6 +39,9 @@ class ThreadPool {
 
   unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
+  /// True when called on one of this pool's worker threads.
+  bool on_worker_thread() const noexcept;
+
  private:
   void worker_loop();
 

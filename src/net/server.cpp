@@ -605,7 +605,8 @@ bool HttpServer::serve_one(int fd, std::string& buffer,
   } else {
     // The request trace: sampled (or slow-eligible) requests collect the
     // span tree the handler and everything below it emits on this thread
-    // and any thread the work hops to (BatchQueue captures the context).
+    // and on any thread that does its work (the exact-scan leader of a
+    // shared pass captures the context).
     std::shared_ptr<trace::Trace> tr;
     if (tracer_ != nullptr) {
       tr = tracer_->begin(request_id);

@@ -28,6 +28,22 @@ struct TopK {
   }
 };
 
+// One candidate's score from its similarities to a query's `n` vectors:
+// the best one (kMax) or their mean (kMean). The mean starts from 0.0f
+// even for one vector, so a -0.0 similarity scores +0.0.
+inline float aggregate_score(const float* sims, std::size_t n, bool mean) {
+  if (mean) {
+    float sum = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) sum += sims[i];
+    return sum / static_cast<float>(n);
+  }
+  float best = sims[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    if (sims[i] > best) best = sims[i];
+  }
+  return best;
+}
+
 // Rows scored per block-kernel call: 64 rows of d = 128 are 32 KiB, so a
 // tile and its query block stay in L1/L2 while the per-row loop reads
 // the scores back. A block of more than 64 query vectors gets fewer rows
@@ -102,6 +118,7 @@ api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
   const simd::KernelTable& kernels = simd::kernels();
   const bool is_l2 = metric == Metric::kL2;
   const bool is_cosine = metric == Metric::kCosine;
+  const bool mean = aggregate == Aggregate::kMean;
 
   parallel_for_worker(
       store.rows(),
@@ -131,33 +148,36 @@ api::Result<std::vector<std::vector<Neighbor>>> scan_top_k_multi(
             kernels.dot_block(vectors.data(), total_vectors, tile, rows, d,
                               scores.data());
           }
-          for (std::size_t r = 0; r < rows; ++r) {
-            const auto id = static_cast<vid_t>(v + r);
-            float* row_scores = scores.data() + r * total_vectors;
-            if (is_l2) {
-              for (std::size_t i = 0; i < total_vectors; ++i) {
-                row_scores[i] = -row_scores[i];
-              }
-            } else if (is_cosine) {
-              const float row_inv = inv_norms[id];
+          // L2 negation and cosine scaling over the whole tile, each score
+          // computed with the same operations in the same order as before.
+          const std::size_t scored = rows * total_vectors;
+          if (is_l2) {
+            for (std::size_t i = 0; i < scored; ++i) {
+              scores[i] = -scores[i];
+            }
+          } else if (is_cosine) {
+            for (std::size_t r = 0; r < rows; ++r) {
+              float* row_scores = scores.data() + r * total_vectors;
+              const float row_inv = inv_norms[v + r];
               for (std::size_t i = 0; i < total_vectors; ++i) {
                 row_scores[i] = row_scores[i] * vector_inv[i] * row_inv;
               }
             }
-            for (std::size_t q = 0; q < count; ++q) {
-              const float* sims = row_scores + first_vector[q];
-              float score = 0.0f;
-              for (std::size_t i = 0; i < vector_counts[q]; ++i) {
-                if (aggregate == Aggregate::kMean) {
-                  score += sims[i];
-                } else if (i == 0 || sims[i] > score) {
-                  score = sims[i];
-                }
+          }
+          for (std::size_t q = 0; q < count; ++q) {
+            TopK& top = local[q];
+            const float* sims = scores.data() + first_vector[q];
+            const std::size_t n = vector_counts[q];
+            for (std::size_t r = 0; r < rows; ++r) {
+              const float score =
+                  aggregate_score(sims + r * total_vectors, n, mean);
+              // The gate: once the heap holds k, a row that cannot beat its
+              // worst entry skips offer(). `>=` is false for NaN on either
+              // side, exactly where offer() would reject too; ties go on
+              // to offer(), which orders them by id.
+              if (top.heap.size() < k || score >= top.heap.front().score) {
+                top.offer(k, {static_cast<vid_t>(v + r), score});
               }
-              if (aggregate == Aggregate::kMean) {
-                score /= static_cast<float>(vector_counts[q]);
-              }
-              local[q].offer(k, {id, score});
             }
           }
           // Past the tile, and past the row that failed the filter.

@@ -6,8 +6,8 @@
 // global thread_pool), which keeps the mmap access pattern sequential —
 // the page-cache-friendly direction for a store bigger than RAM — and, in
 // the batched variant, lets one pass over each block answer EVERY pending
-// query while the rows are hot in cache. That batched scan is what the
-// BatchQueue coalesces concurrent requests into.
+// query while the rows are hot in cache. The serving layer's ScanCombiner
+// turns concurrent requests into such batched passes.
 //
 // Inside a block the scan walks tiles of up to 64 contiguous rows (fewer
 // when the query block holds more than 64 vectors, so a tile never holds
@@ -15,9 +15,12 @@
 // end and before a row the filter rejects, so one row pointer covers it;
 // one gosh::simd dot_block/l2_block call scores it against the whole
 // query block (the metric branch is hoisted out of the row loop
-// entirely). The per-row work that remains reads the tile's score buffer:
-// L2 negation, cosine scaling, the aggregate and the top-k gate. Every
-// (query, row) score is accumulated exactly as dot()/l2_squared() would,
+// entirely). L2 negation and cosine scaling then run over the whole tile
+// buffer. Last, each query aggregates each row's scores and compares the
+// result with its worker's current k-th score: only a row that can enter
+// the top-k pays for a heap update. Every (query, row) score is
+// accumulated exactly as dot()/l2_squared() would, then scaled and
+// aggregated with the same operations in the same order as per-row code,
 // so scores are bit-identical across thread counts, block shapes and
 // tiles at a fixed SIMD ISA.
 //

@@ -352,6 +352,9 @@ api::Result<HnswIndex> HnswIndex::load(const std::string& path) {
     return fail("truncated GSHH header");
   if (max_level < -1 || max_level > kMaxLevelCap)
     return fail("implausible max_level");
+  // A cosine search reads one inverse norm per node it scores.
+  if (index.metric_ == Metric::kCosine && index.rows_ > 0 && has_norms == 0)
+    return fail("cosine index without its norm table");
   index.max_level_ = max_level;
   if (index.rows_ > 0 && max_level < 0)
     return fail("non-empty index without layers");

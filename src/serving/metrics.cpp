@@ -206,27 +206,6 @@ std::string MetricsRegistry::expose() const {
   return out;
 }
 
-MetricsQueryObserver::MetricsQueryObserver(MetricsRegistry& registry)
-    : batches_(registry.counter("gosh_serving_batches_total",
-                                "Coalesced engine calls served")),
-      batch_queries_(registry.counter("gosh_serving_batch_queries_total",
-                                      "Queries served through batches")),
-      batch_seconds_(registry.histogram("gosh_serving_batch_seconds",
-                                        "Engine-call duration per batch")),
-      latency_seconds_(
-          registry.histogram("gosh_serving_request_latency_seconds",
-                             "Enqueue-to-fulfillment request latency")) {}
-
-void MetricsQueryObserver::on_batch(std::size_t queries, double seconds) {
-  batches_.increment();
-  batch_queries_.increment(queries);
-  batch_seconds_.observe(seconds);
-}
-
-void MetricsQueryObserver::on_query(double latency_seconds) {
-  latency_seconds_.observe(latency_seconds);
-}
-
 MetricsProgressObserver::MetricsProgressObserver(MetricsRegistry& registry)
     : epochs_(registry.counter("gosh_train_epochs_total",
                                "Training passes/rotations completed")),

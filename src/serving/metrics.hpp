@@ -1,14 +1,11 @@
 // MetricsRegistry — the unified Prometheus-style metrics sink.
 //
-// The training side reports through api::ProgressObserver and the serving
-// side through query::QueryObserver; both used to end at ad-hoc printf
-// accumulators (QueryCounters, bench averages). The registry closes that
-// gap: named monotonic Counters and fixed-bucket latency Histograms
+// Named monotonic Counters, Gauges and fixed-bucket latency Histograms
 // (p50/p99 readable at any time), exposed in the text format scrapers
-// expect. MetricsQueryObserver / MetricsProgressObserver are the adapters
-// that stream the two observer callback surfaces into one registry, so a
-// deployment that trains and serves in the same process scrapes a single
-// endpoint.
+// expect. The serving layer registers its instruments directly;
+// MetricsProgressObserver streams the training side's api::ProgressObserver
+// callbacks into the same registry, so a deployment that trains and serves
+// in the same process scrapes a single endpoint.
 //
 // Concurrency: Counter::increment and Histogram::observe are lock-free
 // (relaxed atomics — the counters are statistics, not synchronization);
@@ -25,7 +22,6 @@
 
 #include "gosh/api/progress.hpp"
 #include "gosh/common/sync.hpp"
-#include "gosh/query/batch_queue.hpp"
 
 namespace gosh::serving {
 
@@ -133,22 +129,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<GaugeEntry>> gauges_ GOSH_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<HistogramEntry>> histograms_
       GOSH_GUARDED_BY(mutex_);
-};
-
-/// Streams the BatchQueue/QueryService serving events into a registry:
-/// gosh_serving_batches_total, gosh_serving_batch_queries_total,
-/// gosh_serving_batch_seconds, gosh_serving_request_latency_seconds.
-class MetricsQueryObserver : public query::QueryObserver {
- public:
-  explicit MetricsQueryObserver(MetricsRegistry& registry);
-  void on_batch(std::size_t queries, double seconds) override;
-  void on_query(double latency_seconds) override;
-
- private:
-  Counter& batches_;
-  Counter& batch_queries_;
-  Histogram& batch_seconds_;
-  Histogram& latency_seconds_;
 };
 
 /// Streams the training pipeline events into a registry:

@@ -67,13 +67,6 @@ query::HnswOptions ServeOptions::hnsw_options() const {
   return options;
 }
 
-query::BatchQueueOptions ServeOptions::batch_options() const {
-  query::BatchQueueOptions options;
-  options.max_batch = static_cast<std::size_t>(max_batch);
-  options.k = k;
-  return options;
-}
-
 store::OpenOptions ServeOptions::open_options() const {
   store::OpenOptions options;
   options.verify_checksums = verify_checksums;

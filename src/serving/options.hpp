@@ -1,7 +1,7 @@
 // ServeOptions — the serving twin of api::Options.
 //
-// Subsumes the scattered per-component knobs (QueryEngineOptions,
-// BatchQueueOptions, the HNSW build/search parameters, OpenOptions) plus
+// Subsumes the scattered per-component knobs (QueryEngineOptions, the
+// HNSW build/search parameters, OpenOptions) plus
 // the service-level selection (strategy key, default k, multi-vector
 // aggregate, id-range filter) and the gosh_query tool modes, with the same
 // three population paths as the training facade:
@@ -19,7 +19,6 @@
 
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
-#include "gosh/query/batch_queue.hpp"
 #include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"
 #include "gosh/store/embedding_store.hpp"
@@ -28,9 +27,9 @@ namespace gosh::serving {
 
 struct ServeOptions {
   // ---- Service selection. ----------------------------------------------
-  /// ServiceRegistry key ("exact", "hnsw", "batched", "router") or "auto"
-  /// = the index-present policy (hnsw when the index file exists beside
-  /// the store, exact otherwise).
+  /// ServiceRegistry key ("exact", "hnsw", "router", ...) or "auto" = the
+  /// index-present policy (hnsw when the index file exists beside the
+  /// store, exact otherwise; "batched" is an alias of "auto").
   std::string strategy = "auto";
   /// Store root path ("--store"); every service opens it (the Router opens
   /// each shard of it separately).
@@ -58,7 +57,8 @@ struct ServeOptions {
   unsigned ef_construction = 200;
   std::uint64_t seed = 42;
 
-  // ---- Batched strategy (subsumes BatchQueueOptions). -------------------
+  // ---- Exact-scan sharing. -----------------------------------------------
+  /// Most queries one shared exact pass answers ("--batch").
   std::uint64_t max_batch = 64;
 
   // ---- Semantic result cache (the "cached:<inner>" wrapper). ------------
@@ -118,7 +118,6 @@ struct ServeOptions {
   /// The subsumed structs, for code layering onto the query internals.
   query::QueryEngineOptions engine_options() const;
   query::HnswOptions hnsw_options() const;
-  query::BatchQueueOptions batch_options() const;
   store::OpenOptions open_options() const;
   /// Parsed aggregate field; call only after validate().
   query::Aggregate aggregate_mode() const;

@@ -26,14 +26,6 @@ void register_builtin_services(ServiceRegistry& registry) {
   (void)registry.add("exact", engine_factory(query::Strategy::kExact));
   (void)registry.add("hnsw", engine_factory(query::Strategy::kHnsw));
   (void)registry.add(
-      "batched",
-      [](const ServeOptions& options, MetricsRegistry* metrics)
-          -> api::Result<std::unique_ptr<QueryService>> {
-        auto service = BatchedService::open(options, metrics);
-        if (!service.ok()) return service.status();
-        return std::unique_ptr<QueryService>(std::move(service).value());
-      });
-  (void)registry.add(
       "router",
       [](const ServeOptions& options, MetricsRegistry* metrics)
           -> api::Result<std::unique_ptr<QueryService>> {
@@ -79,16 +71,18 @@ void register_builtin_services(ServiceRegistry& registry) {
       });
   // "auto" = the index-present policy: serve approximate when the offline
   // build has been done, exact otherwise — the serving analog of the
-  // training facade's fits-in-memory backend policy.
-  (void)registry.add(
-      "auto",
+  // training facade's fits-in-memory backend policy. "batched" names the
+  // same policy: request coalescing is built into the exact strategy.
+  const auto index_present_policy =
       [](const ServeOptions& options, MetricsRegistry* metrics)
-          -> api::Result<std::unique_ptr<QueryService>> {
-        const bool indexed =
-            std::filesystem::exists(options.resolved_index_path());
-        return ServiceRegistry::instance().create(indexed ? "hnsw" : "exact",
-                                                  options, metrics);
-      });
+      -> api::Result<std::unique_ptr<QueryService>> {
+    const bool indexed =
+        std::filesystem::exists(options.resolved_index_path());
+    return ServiceRegistry::instance().create(indexed ? "hnsw" : "exact",
+                                              options, metrics);
+  };
+  (void)registry.add("auto", index_present_policy);
+  (void)registry.add("batched", index_present_policy);
 }
 
 }  // namespace
@@ -174,8 +168,8 @@ api::Result<std::unique_ptr<QueryService>> ServiceRegistry::create(
   }
   for (const Entry& entry : entries_) {
     if (entry.name != name) continue;
-    // Factories open stores and spawn dispatcher threads; keep the
-    // facade's never-throws promise even when construction fails.
+    // Factories open stores and start probe threads; keep the facade's
+    // never-throws promise even when construction fails.
     try {
       return entry.factory(options, metrics);
     } catch (const std::bad_alloc&) {

@@ -2,13 +2,13 @@
 // strategies, the serving twin of api::BackendRegistry.
 //
 // Built-ins:
-//   "exact"   — blocked parallel brute-force scan (ground truth)
+//   "exact"   — blocked parallel brute-force scan (ground truth);
+//               concurrent requests share passes over the store
 //   "hnsw"    — the persisted HNSW index (build it offline first)
-//   "batched" — request-coalescing BatchQueue over the index-present
-//               policy's engine
 //   "router"  — one engine per store shard group, scatter + k-way merge
 //   "auto"    — index-present policy: "hnsw" when the index file exists
 //               beside the store, "exact" otherwise
+//   "batched" — alias of "auto", kept so existing configs keep working
 // External code may add its own factories under new names — the seam a
 // future network front-end or tiered-cache strategy plugs into instead of
 // growing a new entry point.

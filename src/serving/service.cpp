@@ -1,9 +1,6 @@
 #include "gosh/serving/service.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <future>
-#include <mutex>
 #include <utility>
 
 #include "gosh/common/parallel_for.hpp"
@@ -14,7 +11,7 @@
 namespace gosh::serving {
 
 /// The whole request is rejected on the first malformed query, before any
-/// work (or queue submission) happens.
+/// work happens.
 api::Status check_request(const QueryRequest& request, vid_t rows,
                           unsigned dim, unsigned k) {
   if (k == 0) return api::Status::invalid_argument("k must be >= 1");
@@ -125,7 +122,20 @@ EngineService::EngineService(query::QueryEngine engine,
     : engine_(std::move(engine)),
       strategy_(strategy),
       default_k_(defaults.k),
-      default_ef_(defaults.ef_search) {
+      default_ef_(defaults.ef_search),
+      combiner_(
+          [this](const ScanKey& key, std::span<const float> vectors,
+                 std::span<const std::size_t> vector_counts,
+                 const RowFilter& filter) {
+            query::ScanOptions scan;
+            scan.threads = engine_.options().threads;
+            scan.block_rows = engine_.options().block_rows;
+            return query::scan_top_k_multi(
+                engine_.store(), vectors, vector_counts, key.k, key.metric,
+                norms_for(key.metric), key.aggregate, filter, scan);
+          },
+          static_cast<std::size_t>(defaults.max_batch),
+          strategy == query::Strategy::kExact ? metrics : nullptr) {
   if (metrics != nullptr) {
     requests_ = &metrics->counter("gosh_serving_requests_total",
                                   "QueryService requests served");
@@ -189,7 +199,6 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
   QueryResponse response;
   response.results.resize(request.queries.size());
 
-  TRACE_SPAN("scan");
   if (strategy_ == query::Strategy::kExact) {
     // Flatten the batch into the generalized scan's shape: one flat vector
     // buffer plus per-query vector counts.
@@ -207,18 +216,16 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
         counts.push_back(query.vector_count);
       }
     }
-    query::ScanOptions scan;
-    scan.threads = engine_.options().threads;
-    scan.block_rows = engine_.options().block_rows;
-    auto scanned = query::scan_top_k_multi(
-        engine_.store(), vectors, counts, fetch_k, metric, norms_for(metric),
-        request.aggregate, request.filter, scan);
-    // check_request vets the shapes first, but the scan's own validation
-    // (buffer/count mismatch, missing norms) must surface as a Status, not
-    // an out-of-bounds read.
+    // Shares a pass with concurrent requests of the same metric,
+    // aggregate and fetch k. check_request vets the shapes first, but the
+    // scan's own validation (buffer/count mismatch, missing norms) must
+    // surface as a Status, not an out-of-bounds read.
+    auto scanned = combiner_.scan({metric, request.aggregate, fetch_k},
+                                  vectors, counts, request.filter);
     if (!scanned.ok()) return scanned.status();
     response.results = std::move(scanned).value();
   } else {
+    TRACE_SPAN("scan");
     // HNSW: one beam search per vector, fanned across the pool. A filter
     // narrows what the beam may keep, so widen it; multi-vector queries
     // union their per-vector candidates and re-score under the aggregate.
@@ -306,96 +313,6 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
     queries_->increment(request.queries.size());
     seconds_->observe(response.seconds);
   }
-  return response;
-}
-
-// ---- BatchedService -------------------------------------------------------
-
-api::Result<std::unique_ptr<BatchedService>> BatchedService::open(
-    const ServeOptions& options, MetricsRegistry* metrics) {
-  // Index-present policy for the inner engine, like the "auto" strategy:
-  // coalesce onto whichever path the deployment has prepared.
-  const bool indexed =
-      std::filesystem::exists(options.resolved_index_path());
-  auto inner = EngineService::open(
-      options, indexed ? query::Strategy::kHnsw : query::Strategy::kExact,
-      metrics);
-  if (!inner.ok()) return inner.status();
-  return std::make_unique<BatchedService>(std::move(inner).value(), options,
-                                          metrics);
-}
-
-BatchedService::BatchedService(std::unique_ptr<EngineService> inner,
-                               const ServeOptions& defaults,
-                               MetricsRegistry* metrics)
-    : inner_(std::move(inner)), default_k_(defaults.k) {
-  if (metrics != nullptr) {
-    observer_ = std::make_unique<MetricsQueryObserver>(*metrics);
-  }
-  query::BatchQueueOptions queue_options;
-  queue_options.max_batch = static_cast<std::size_t>(defaults.max_batch);
-  // k+1 headroom so vertex queries can drop the probe row, matching the
-  // direct path.
-  queue_options.k = default_k_ + 1;
-  queue_options.strategy = inner_->engine().has_index()
-                               ? query::Strategy::kHnsw
-                               : query::Strategy::kExact;
-  queue_ = std::make_unique<query::BatchQueue>(inner_->engine(), queue_options,
-                                               observer_.get());
-}
-
-BatchedService::~BatchedService() = default;
-
-bool BatchedService::queueable(const QueryRequest& request) const noexcept {
-  if (request.filter || request.metric.has_value() || request.ef > 0)
-    return false;
-  if (request.k != 0 && request.k != default_k_) return false;
-  return std::all_of(request.queries.begin(), request.queries.end(),
-                     [](const Query& q) {
-                       return q.is_vertex || q.vector_count == 1;
-                     });
-}
-
-api::Result<QueryResponse> BatchedService::serve(const QueryRequest& request) {
-  if (!queueable(request)) return inner_->serve(request);
-
-  WallTimer timer;
-  const unsigned k = request.k > 0 ? request.k : default_k_;
-  if (api::Status status =
-          check_request(request, rows(), dim(), k);
-      !status.is_ok()) {
-    return status;
-  }
-
-  std::vector<std::future<std::vector<Neighbor>>> futures;
-  futures.reserve(request.queries.size());
-  for (const Query& query : request.queries) {
-    std::vector<float> vector;
-    if (query.is_vertex) {
-      const auto row = inner_->engine().store().row(query.vertex_id);
-      vector.assign(row.begin(), row.end());
-    } else {
-      vector = query.vectors;
-    }
-    futures.push_back(queue_->submit(std::move(vector)));
-  }
-
-  QueryResponse response;
-  response.results.resize(request.queries.size());
-  {
-    // The gather: the dispatcher records "queue-wait"/"scan" into this
-    // trace from its own thread; this span is the caller-side wait.
-    trace::Span merge_span("merge");
-    for (std::size_t q = 0; q < futures.size(); ++q) {
-      try {
-        response.results[q] = futures[q].get();
-      } catch (const std::exception& error) {
-        return api::Status::internal(error.what());
-      }
-      finalize_answer(response.results[q], request.queries[q], k);
-    }
-  }
-  response.seconds = timer.seconds();
   return response;
 }
 

@@ -1,15 +1,14 @@
 // QueryService — the serving facade's one interface, the query-side twin
 // of api::Embedder.
 //
-// PR 3 left serving as a pile of concrete classes (QueryEngine,
-// BatchQueue, HnswIndex) that every tool wired by hand; this layer folds
-// them behind one request/response model the way the training side folded
-// its engines behind Embedder. A QueryRequest carries a batch of logical
+// The query layer's concrete classes (QueryEngine, HnswIndex) sit behind
+// one request/response model here, the way the training side folded its
+// engines behind Embedder. A QueryRequest carries a batch of logical
 // queries — each a stored vertex (self-excluded from its own answer) or
 // one-or-more raw vectors scored jointly — plus per-request overrides
 // (k, ef, metric) and an optional vertex-filter predicate; every strategy
-// ("exact", "hnsw", "batched", the sharded Router) answers the same model,
-// so callers pick a strategy by registry key, not by API shape.
+// ("exact", "hnsw", the sharded Router, ...) answers the same model, so
+// callers pick a strategy by registry key, not by API shape.
 #pragma once
 
 #include <memory>
@@ -21,10 +20,10 @@
 
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
-#include "gosh/query/batch_queue.hpp"
 #include "gosh/query/engine.hpp"
 #include "gosh/serving/metrics.hpp"
 #include "gosh/serving/options.hpp"
+#include "gosh/serving/scan_combiner.hpp"
 
 namespace gosh::serving {
 
@@ -169,7 +168,11 @@ class QueryService {
 
 /// QueryService over one QueryEngine, answering with a fixed strategy
 /// (the "exact" and "hnsw" registry entries). Thread-safe for concurrent
-/// serve() calls: every query path only reads shared state.
+/// serve() calls. Exact requests go through a ScanCombiner, so concurrent
+/// compatible requests share one pass over the store (at most
+/// ServeOptions::max_batch queries per pass); the HNSW path only reads
+/// shared state. Callers must not be global-pool workers if they want to
+/// share passes (see scan_combiner.hpp).
 class EngineService final : public QueryService {
  public:
   /// Opens the store named by `options` and builds the engine; the "hnsw"
@@ -206,42 +209,8 @@ class EngineService final : public QueryService {
   Counter* requests_ = nullptr;
   Counter* queries_ = nullptr;
   Histogram* seconds_ = nullptr;
-};
-
-/// The "batched" registry entry: an EngineService plus a BatchQueue that
-/// coalesces the plain single-vector traffic into shared scans. Requests
-/// the queue cannot express (filters, metric overrides, multi-vector
-/// queries, non-default k) transparently fall through to the direct
-/// engine path, so the service honors the full request model either way.
-class BatchedService final : public QueryService {
- public:
-  static api::Result<std::unique_ptr<BatchedService>> open(
-      const ServeOptions& options, MetricsRegistry* metrics = nullptr);
-
-  BatchedService(std::unique_ptr<EngineService> inner,
-                 const ServeOptions& defaults, MetricsRegistry* metrics);
-  ~BatchedService() override;
-
-  api::Result<QueryResponse> serve(const QueryRequest& request) override;
-  vid_t rows() const noexcept override { return inner_->rows(); }
-  unsigned dim() const noexcept override { return inner_->dim(); }
-  Metric default_metric() const noexcept override {
-    return inner_->default_metric();
-  }
-  std::string_view strategy_name() const noexcept override {
-    return "batched";
-  }
-  api::Result<std::vector<float>> row_vector(vid_t v) const override {
-    return inner_->row_vector(v);
-  }
-
- private:
-  bool queueable(const QueryRequest& request) const noexcept;
-
-  std::unique_ptr<EngineService> inner_;
-  unsigned default_k_;
-  std::unique_ptr<MetricsQueryObserver> observer_;  ///< null w/o metrics
-  std::unique_ptr<query::BatchQueue> queue_;
+  /// Exact passes; declared last, after everything its scan reads.
+  ScanCombiner combiner_;
 };
 
 /// What an offline index build produced (gosh_query --build-index).

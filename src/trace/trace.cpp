@@ -164,6 +164,8 @@ Trace* current() noexcept { return t_current.get(); }
 
 std::shared_ptr<Trace> current_shared() { return t_current; }
 
+std::uint32_t current_depth() noexcept { return t_depth; }
+
 ScopedTrace::ScopedTrace(std::shared_ptr<Trace> trace)
     : previous_(std::move(t_current)) {
   t_current = std::move(trace);

@@ -9,13 +9,13 @@
 //     atomic load plus a thread-local null check — nanoseconds, no
 //     allocation, no branch into the cold half.
 //   - Trace: one request's record. Spans may be appended from several
-//     threads (the HTTP worker AND the BatchQueue dispatcher both write
-//     into the same trace), so the span list is mutex-guarded with the
-//     annotated sync.hpp wrappers.
+//     threads (the HTTP worker AND the exact-scan leader that served it in
+//     a shared pass both write into the same trace), so the span list is
+//     mutex-guarded with the annotated sync.hpp wrappers.
 //   - ScopedTrace: installs a trace as the thread's current context;
 //     TRACE_SPANs anywhere below (handler -> service -> engine) attach to
-//     it. Cross-thread handoff is explicit: capture current_shared() at the
-//     enqueue site, Trace::record() from the dispatcher.
+//     it. Cross-thread handoff is explicit: capture current_shared() on
+//     the request's thread, Trace::record() from the thread doing the work.
 //   - Tracer: sampling policy + a bounded ring of completed traces. The
 //     sampler is seeded and counter-driven, so a given (seed, request
 //     ordinal) always makes the same keep/drop decision — reproducible in
@@ -89,8 +89,9 @@ class Trace {
   std::string label() const;
 
   /// Appends one completed span. The two-argument form stamps the calling
-  /// thread's ordinal and depth 0 — the cross-thread recording shape (the
-  /// BatchQueue dispatcher writing queue-wait/scan into a worker's trace).
+  /// thread's ordinal and depth 0. The five-argument form is the
+  /// cross-thread shape: an exact-scan leader writing queue-wait/scan into
+  /// the trace of each request its pass served.
   void record(std::string_view name, std::uint64_t begin_ns,
               std::uint64_t end_ns, std::uint32_t depth, std::uint32_t thread);
   void record(std::string_view name, std::uint64_t begin_ns,
@@ -122,9 +123,11 @@ class Trace {
 
 /// The calling thread's current trace (null when none is installed).
 Trace* current() noexcept;
-/// Shared handle to the same — what an enqueue site captures so a
-/// dispatcher thread can record into the trace after the handler moved on.
+/// Shared handle to the same — what a hand-off site captures so another
+/// thread can record into the trace after the handler moved on.
 std::shared_ptr<Trace> current_shared();
+/// Nesting depth a Span opened now on this thread would record.
+std::uint32_t current_depth() noexcept;
 
 /// Installs `trace` as the thread's current context for a scope; restores
 /// the previous one (usually none) on destruction. Null is fine — the

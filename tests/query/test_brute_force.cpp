@@ -2,13 +2,16 @@
 // under every metric at every available SIMD ISA, batch/single
 // consistency, determinism across thread counts and block sizes,
 // malformed-shape Status propagation, and edge cases (k > rows, tie
-// ordering).
+// ordering, -0.0 under an L2 mean, NaN scores).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -414,6 +417,99 @@ TEST(BruteForce, FilterRejectingEverythingYieldsEmptyAnswers) {
                                          [](vid_t) { return false; }));
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(got[0].empty());
+}
+
+// The scan negates an L2 distance, so a row equal to the query scores
+// -0.0; a kMean aggregate starts from 0.0f, so even over one vector the
+// same row scores +0.0. Combining requests of different aggregates would
+// change those bits, and the per-tile scaling must keep both.
+TEST(BruteForce, SingleVectorL2MeanScoresAnExactMatchAtPositiveZero) {
+  Fixture fx(70, 9);
+  simd::ScopedIsa guard;
+  const auto query = fx.store.row(21);
+  const std::vector<std::size_t> counts = {1};
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2,
+                              simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (simd::kernel_table(isa) == nullptr) continue;
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const auto& [aggregate, bits] :
+         {std::pair<Aggregate, std::uint32_t>{Aggregate::kMean, 0x00000000u},
+          std::pair<Aggregate, std::uint32_t>{Aggregate::kMax, 0x80000000u}}) {
+      const auto got = must(scan_top_k_multi(fx.store, query, counts, 3,
+                                             Metric::kL2, {}, aggregate, {}));
+      ASSERT_EQ(got.size(), 1u);
+      ASSERT_FALSE(got[0].empty());
+      EXPECT_EQ(got[0][0].id, 21u) << simd::isa_name(isa);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[0][0].score), bits)
+          << simd::isa_name(isa) << " " << aggregate_name(aggregate);
+    }
+  }
+}
+
+// Rows whose scores are NaN are offered like any other while the heap is
+// not full, and the heap rule decides the rest: the scan's answer equals
+// offering every row in id order to the same bounded heap, with no row
+// skipped before the heap has seen it.
+TEST(BruteForce, NaNScoresStillReachTheHeap) {
+  constexpr vid_t kRows = 40;
+  constexpr unsigned kDim = 8;
+  embedding::EmbeddingMatrix matrix(kRows, kDim);
+  matrix.initialize_random(5);
+  for (const vid_t v : {0u, 1u, 25u}) {
+    for (float& x : matrix.row(v)) x = std::numeric_limits<float>::quiet_NaN();
+  }
+  const std::string path = testing::TempDir() + "brute_force_nan_" +
+                           std::to_string(::getpid()) + ".gshs";
+  ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
+  auto opened = store::EmbeddingStore::open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  const store::EmbeddingStore& store = opened.value();
+  const auto query = store.row(5);
+
+  for (const Metric metric : {Metric::kCosine, Metric::kDot, Metric::kL2}) {
+    const auto inv = row_inverse_norms(store, metric);
+    const float query_inv =
+        metric == Metric::kCosine ? inverse_norm(query.data(), kDim) : 0.0f;
+    for (const unsigned k : {5u, kRows}) {
+      // The heap rule without the gate.
+      std::vector<Neighbor> heap;
+      for (vid_t v = 0; v < kRows; ++v) {
+        const Neighbor candidate{
+            v, similarity(metric, query.data(), store.row(v).data(), kDim,
+                          query_inv,
+                          metric == Metric::kCosine ? inv[v] : 0.0f)};
+        if (heap.size() < k) {
+          heap.push_back(candidate);
+          std::push_heap(heap.begin(), heap.end(), better);
+        } else if (better(candidate, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), better);
+          heap.back() = candidate;
+          std::push_heap(heap.begin(), heap.end(), better);
+        }
+      }
+      std::sort(heap.begin(), heap.end(), better);
+
+      const auto got = must(scan_top_k(store, query, k, metric, inv,
+                                       {.threads = 1, .block_rows = 16}));
+      ASSERT_EQ(got.size(), heap.size()) << metric_name(metric);
+      std::size_t nans = 0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, heap[i].id)
+            << metric_name(metric) << " k " << k << " rank " << i;
+        if (std::isnan(heap[i].score)) {
+          EXPECT_TRUE(std::isnan(got[i].score));
+          ++nans;
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i].score),
+                    std::bit_cast<std::uint32_t>(heap[i].score));
+        }
+      }
+      if (k == kRows) {
+        EXPECT_EQ(nans, 3u) << metric_name(metric);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // MetricsRegistry — counters, histogram quantiles, text exposition, the
-// observer adapters, and concurrent-observe safety (suite MetricsRegistry*
-// is in the TSan CI filter).
+// serving and training event feeds, and concurrent-observe safety (suite
+// MetricsRegistry* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "gosh/serving/metrics.hpp"
+#include "gosh/serving/scan_combiner.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -137,12 +139,33 @@ TEST(MetricsRegistry, ExpositionCarriesTypesBucketsAndQuantiles) {
 
 TEST(MetricsRegistry, QueryObserverAdapterStreamsServingEvents) {
   MetricsRegistry registry;
-  MetricsQueryObserver observer(registry);
-  observer.on_batch(16, 0.01);
-  observer.on_batch(8, 0.02);
-  observer.on_query(0.001);
-  observer.on_query(0.002);
-  observer.on_query(0.003);
+  // A 16-query request holds the first pass until two 4-query requests
+  // wait; they then share the second pass: 2 passes, 24 queries, 3
+  // requests.
+  std::atomic<bool> held{true};
+  std::atomic<int> calls{0};
+  ScanCombiner combiner(
+      [&](const ScanKey&, std::span<const float>,
+          std::span<const std::size_t> counts,
+          const query::RowFilter&) -> api::Result<ScanAnswers> {
+        if (calls.fetch_add(1) == 0) {
+          while (held.load()) std::this_thread::yield();
+        }
+        return ScanAnswers(counts.size());
+      },
+      64, &registry);
+  const ScanKey key{query::Metric::kCosine, query::Aggregate::kMax, 10};
+  const std::vector<float> sixteen(16, 1.0f), four(4, 1.0f);
+  const std::vector<std::size_t> ones16(16, 1), ones4(4, 1);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { (void)combiner.scan(key, sixteen, ones16); });
+  while (calls.load() == 0) std::this_thread::yield();
+  for (std::size_t waiting = 1; waiting <= 2; ++waiting) {
+    threads.emplace_back([&] { (void)combiner.scan(key, four, ones4); });
+    while (combiner.waiting() < waiting) std::this_thread::yield();
+  }
+  held.store(false);
+  for (std::thread& t : threads) t.join();
   EXPECT_EQ(registry.counter("gosh_serving_batches_total").value(), 2u);
   EXPECT_EQ(registry.counter("gosh_serving_batch_queries_total").value(), 24u);
   EXPECT_EQ(registry.histogram("gosh_serving_batch_seconds").count(), 2u);

@@ -1,7 +1,7 @@
 // QueryService — the serving facade's request model over every registry
 // strategy: exact vs reference, per-request overrides, multi-vector and
-// filtered queries, hnsw/batched agreement, registry policies, and
-// concurrent serving (suite QueryService* is in the TSan CI filter).
+// filtered queries, hnsw agreement, the batched alias, registry policies,
+// and concurrent serving (suite QueryService* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -242,13 +242,15 @@ TEST(QueryService, BatchedServiceAgreesWithExactAndHandlesFallthrough) {
   options.max_batch = 16;
   auto batched = make_service(options);
   ASSERT_TRUE(batched.ok()) << batched.status().to_string();
-  EXPECT_EQ(batched.value()->strategy_name(), "batched");
+  // "batched" is an alias of "auto": exact without an index beside the
+  // store, since coalescing is built into the exact strategy.
+  EXPECT_EQ(batched.value()->strategy_name(), "exact");
 
   options.strategy = "exact";
   auto exact = make_service(options);
   ASSERT_TRUE(exact.ok());
 
-  // A queueable batch: vertex queries at the default k.
+  // A batch of vertex queries at the default k.
   QueryRequest request;
   for (vid_t v = 0; v < 40; ++v) request.queries.push_back(Query::vertex(v));
   auto coalesced = batched.value()->serve(request);
@@ -264,8 +266,7 @@ TEST(QueryService, BatchedServiceAgreesWithExactAndHandlesFallthrough) {
     }
   }
 
-  // A filtered request cannot ride the queue; it must still be honored
-  // (transparent fallthrough to the direct path).
+  // A filtered request scans alone; it must still be honored.
   QueryRequest filtered = QueryRequest::for_vertex(11, 5);
   filtered.filter = [](vid_t v) { return v < 30; };
   auto fallthrough = batched.value()->serve(filtered);
@@ -352,6 +353,12 @@ TEST(QueryService, ServicesRecordIntoTheMetricsRegistry) {
   EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 1u);
   EXPECT_EQ(metrics.counter("gosh_serving_queries_total").value(), 2u);
   EXPECT_EQ(metrics.histogram("gosh_serving_request_seconds").count(), 1u);
+  // The exact strategy's one pass over the store, and its request.
+  EXPECT_EQ(metrics.counter("gosh_serving_batches_total").value(), 1u);
+  EXPECT_EQ(metrics.counter("gosh_serving_batch_queries_total").value(), 2u);
+  EXPECT_EQ(metrics.histogram("gosh_serving_batch_seconds").count(), 1u);
+  EXPECT_EQ(
+      metrics.histogram("gosh_serving_request_latency_seconds").count(), 1u);
 }
 
 TEST(QueryService, ConcurrentServeIsSafe) {

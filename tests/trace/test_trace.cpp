@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -16,7 +17,8 @@
 #include <vector>
 
 #include "gosh/net/json.hpp"
-#include "gosh/query/batch_queue.hpp"
+#include "gosh/query/brute_force.hpp"
+#include "gosh/serving/scan_combiner.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::trace {
@@ -80,9 +82,10 @@ TEST(Trace, SpansAreInertWithoutAnInstalledTrace) {
 
 TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   TracerGuard guard;
-  // The serving shape end to end: a traced caller submits to the
-  // BatchQueue, the dispatcher thread records queue-wait/scan spans into
-  // the caller's trace across the thread handoff.
+  // The serving shape end to end: a traced caller's exact scan is answered
+  // by a shared pass that another request's thread leads, and that leader
+  // records queue-wait/scan spans into the caller's trace across the
+  // thread handoff.
   embedding::EmbeddingMatrix matrix(64, 8);
   matrix.initialize_random(23);
   const std::string path = ::testing::TempDir() + "trace_queue_" +
@@ -90,7 +93,39 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   ASSERT_TRUE(store::EmbeddingStore::write(matrix, path).is_ok());
   auto opened = store::EmbeddingStore::open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
-  query::QueryEngine engine(std::move(opened).value(), {});
+  const store::EmbeddingStore& store = opened.value();
+  const std::vector<float> norms =
+      query::row_inverse_norms(store, query::Metric::kCosine);
+
+  // The first pass holds the combiner until two more requests wait: an
+  // untraced one, which leads the second pass, then the traced caller,
+  // which that pass takes along.
+  std::atomic<bool> held{true};
+  std::atomic<int> calls{0};
+  serving::ScanCombiner combiner(
+      [&](const serving::ScanKey& key, std::span<const float> vectors,
+          std::span<const std::size_t> counts,
+          const query::RowFilter& filter) {
+        if (calls.fetch_add(1) == 0) {
+          while (held.load()) std::this_thread::yield();
+        }
+        return query::scan_top_k_multi(store, vectors, counts, key.k,
+                                       key.metric, norms, key.aggregate,
+                                       filter);
+      },
+      64);
+  const serving::ScanKey key{query::Metric::kCosine, query::Aggregate::kMax,
+                             10};
+  const std::vector<float> probe(8, 0.5f);
+  const std::vector<std::size_t> one{1};
+  std::thread first([&] { (void)combiner.scan(key, probe, one); });
+  while (calls.load() == 0) std::this_thread::yield();
+  std::thread second([&] { (void)combiner.scan(key, probe, one); });
+  while (combiner.waiting() < 1) std::this_thread::yield();
+  std::thread releaser([&] {
+    while (combiner.waiting() < 2) std::this_thread::yield();
+    held.store(false);
+  });
 
   Tracer tracer(sample_all());
   std::shared_ptr<Trace> trace = tracer.begin("req-queue");
@@ -98,10 +133,13 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   {
     ScopedTrace scope(trace);
     Span handler("handler");
-    query::BatchQueue queue(engine);
-    auto future = queue.submit(std::vector<float>(engine.dim(), 0.5f));
-    EXPECT_EQ(future.get().size(), 10u);
+    auto answers = combiner.scan(key, probe, one);
+    ASSERT_TRUE(answers.ok()) << answers.status().to_string();
+    EXPECT_EQ(answers.value().front().size(), 10u);
   }
+  releaser.join();
+  first.join();
+  second.join();
   tracer.finish(trace);
   std::remove(path.c_str());
 
@@ -123,7 +161,7 @@ TEST(Trace, BatchQueueHandoffRecordsQueueWaitAndScanIntoTheTrace) {
   EXPECT_TRUE(names.count("handler"));
   ASSERT_TRUE(names.count("queue-wait"));
   ASSERT_TRUE(names.count("scan"));
-  // The dispatcher is a different thread, and the phases abut in order.
+  // The leader is a different thread, and the phases abut in order.
   EXPECT_NE(handler_thread, scan_thread);
   EXPECT_LE(wait_begin, wait_end);
   EXPECT_EQ(wait_end, scan_begin);

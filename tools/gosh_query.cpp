@@ -22,13 +22,14 @@
 //   --eval N            recall@k of --strategy vs the exact scan on N
 //                       sampled rows, plus q/s and p50/p99 latency
 // Strategy & request shape:
-//   --strategy S        exact|hnsw|batched|router|auto (default auto =
-//                       hnsw when the index file exists, else exact)
+//   --strategy S        exact|hnsw|router|auto (default auto = hnsw when
+//                       the index file exists, else exact; batched is an
+//                       alias of auto)
 //   --k K               neighbors per query (default 10)
 //   --metric M          cosine|dot|l2 (default cosine)
 //   --aggregate A       multi-vector combine rule: max|mean (default max)
 //   --filter LO:HI      only ids in [LO, HI) may appear in answers
-//   --batch B           max requests coalesced per scan (batched strategy)
+//   --batch B           most queries one shared exact pass answers
 //   --ef EF             HNSW search beam width (default 64)
 //   --threads T         scan parallelism (default: all workers)
 //   --block-rows N      rows per scan block (default 2048)
@@ -180,8 +181,8 @@ bool parse_query_line(const std::string& line, std::size_t line_number,
 
 int serve_queries(serving::QueryService& service,
                   const serving::ServeOptions& options) {
-  // A file is batched into ONE request (the shape the batched strategy
-  // coalesces and every strategy answers in one pass); stdin streams —
+  // A file is batched into ONE request (every strategy answers it in one
+  // pass); stdin streams —
   // each line is answered as it arrives, so a long-lived pipe sees its
   // results immediately.
   const bool streaming = options.queries_path == "-";
