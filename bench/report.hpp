@@ -1,7 +1,8 @@
 // Machine-readable bench reporting — the BENCH_*.json perf trajectory.
 //
-// bench_kernels, bench_query_throughput, bench_serve_throughput and
-// bench_table6_medium accept `--json <file>` and emit one JSON object: the
+// bench_kernels, bench_query_throughput, bench_serve_throughput,
+// bench_table6_medium and bench_fig4_breakdown accept `--json <file>` and
+// emit one JSON object: the
 // bench name, the SIMD dispatch that was active, the host facts that tell
 // a slow machine from a regression (core count, CPU model, build type,
 // the per-core L2 size the device sizes its launches by, the git commit
@@ -94,6 +95,13 @@ inline std::string run_id_flag(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--run-id") return argv[i + 1];
   }
   return {};
+}
+
+/// CPU seconds this process has used so far, all threads included.
+inline double process_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
 }
 
 /// ISO-8601 UTC "now" for the report header.

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,11 +42,6 @@ struct Row {
   std::vector<double> level_seconds;
 };
 
-double process_cpu_seconds() {
-  timespec now{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
-  return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
-}
 
 /// Positive plus negative updates one embed trained (see the header).
 double trained_samples(const api::EmbedResult& result,
@@ -93,9 +87,9 @@ void print_rows(const std::vector<Row>& rows) {
 /// (the paper's GraphVite rows on devices it does not fit).
 Row measure(const std::string& label, const api::Options& options,
             const graph::LinkPredictionSplit& split) {
-  const double cpu_before = process_cpu_seconds();
+  const double cpu_before = bench::process_cpu_seconds();
   auto embedded = api::embed(split.train, options);
-  const double cpu_seconds = process_cpu_seconds() - cpu_before;
+  const double cpu_seconds = bench::process_cpu_seconds() - cpu_before;
   if (!embedded.ok()) {
     std::fprintf(stderr, "  %s: %s\n", label.c_str(),
                  embedded.status().to_string().c_str());

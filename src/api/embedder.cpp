@@ -127,6 +127,7 @@ class GoshBackend final : public Embedder {
           info.arcs = event.arcs;
           info.epochs = event.epochs;
           info.partitioned = event.used_large_graph_path;
+          info.blocked_parts = event.blocked_parts;
           if (event.finished) {
             observer->on_level_end(info, event.seconds);
           } else {

@@ -22,7 +22,10 @@ void LoggingProgressObserver::on_level_begin(const LevelInfo& level) {
 void LoggingProgressObserver::on_level_end(const LevelInfo& level,
                                            double seconds) {
   log_info("level " + std::to_string(level.level) + ": done in " +
-           std::to_string(seconds) + " s");
+           std::to_string(seconds) + " s" +
+           (level.blocked_parts != 0
+                ? " [blocked K=" + std::to_string(level.blocked_parts) + "]"
+                : ""));
 }
 
 void LoggingProgressObserver::on_pipeline_end(double total_seconds) {

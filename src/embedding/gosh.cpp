@@ -110,6 +110,7 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
     if (fits) {
       DeviceTrainer trainer(device, level_graph, config.train);
       trainer.train(matrix, report.passes);
+      report.blocked_parts = trainer.blocked_parts();
     } else {
       report.used_large_graph_path = true;
       largegraph::LargeGraphConfig lg = config.large_graph;
@@ -128,6 +129,7 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
     if (config.on_level) {
       event.finished = true;
       event.seconds = report.train_seconds;
+      event.blocked_parts = report.blocked_parts;
       config.on_level(event);
     }
     log_debug("gosh: level " + std::to_string(level) + " |V|=" +

@@ -34,6 +34,7 @@ struct LevelEvent {
   unsigned epochs = 0;
   unsigned passes = 0;
   bool used_large_graph_path = false;
+  unsigned blocked_parts = 0;  ///< LevelReport::blocked_parts; end only
   bool finished = false;
   double seconds = 0.0;
 };
@@ -88,6 +89,11 @@ struct LevelReport {
   unsigned passes = 0;  ///< Algorithm 3 passes actually run (see edge_epochs)
   bool used_large_graph_path = false;
   double train_seconds = 0.0;
+  /// K of the blocked passes a resident level above L2 trained in
+  /// (DeviceTrainer::blocked_parts), 0 when it trained unblocked. A
+  /// partial last cycle adds positive-only launches, which count in the
+  /// device's kernels_launched (simt.kernels) but not in `passes`.
+  unsigned blocked_parts = 0;
   // Algorithm 5 detail, zero when the level trained resident.
   unsigned partitions = 0;               ///< K_i of the partition plan
   unsigned rotations = 0;                ///< ceil(passes / (B * K_i))

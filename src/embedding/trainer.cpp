@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "gosh/common/sigmoid.hpp"
 #include "gosh/embedding/schedule.hpp"
@@ -16,12 +18,81 @@ unsigned lanes_per_vertex(unsigned dim, bool small_dim_packing) noexcept {
   return std::min(lanes, kWarpSize);
 }
 
+unsigned blocked_part_count(vid_t num_vertices, const TrainConfig& config,
+                            std::size_t l2_bytes) {
+  if (config.naive_kernel ||
+      config.positive_sampling != PositiveSampling::kAdjacency) {
+    return 0;
+  }
+  const std::size_t row_bytes = std::size_t{config.dim} * sizeof(emb_t);
+  if (std::size_t{num_vertices} * row_bytes <= l2_bytes) return 0;
+  const std::size_t part_rows = l2_bytes / 8 / row_bytes;
+  if (part_rows == 0) return 0;
+  std::size_t parts = (num_vertices + part_rows - 1) / part_rows;
+  parts += parts % 2;
+  return parts <= num_vertices ? static_cast<unsigned>(parts) : 0;
+}
+
+BlockedSchedule::BlockedSchedule(vid_t num_vertices, unsigned num_parts)
+    : num_vertices_(num_vertices), num_parts_(num_parts) {
+  if (num_parts < 2 || num_parts % 2 != 0 || num_parts > num_vertices) {
+    throw std::invalid_argument(
+        "BlockedSchedule: part count must be even, >= 2 and <= |V|");
+  }
+}
+
+std::vector<std::vector<PartPair>> BlockedSchedule::cycle(
+    std::uint64_t cycle_seed) const {
+  const unsigned k = num_parts_;
+  Rng rng(cycle_seed);
+  const auto shuffle = [&rng](std::vector<unsigned>& order) {
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.next_bounded(i)]);
+    }
+  };
+  std::vector<unsigned> label(k);
+  std::iota(label.begin(), label.end(), 0u);
+  shuffle(label);
+  std::vector<unsigned> order(k);
+  std::iota(order.begin(), order.end(), 0u);
+  shuffle(order);
+
+  // Circle method: part k-1 stays put while the others rotate, so round r
+  // pairs it with r and folds the remaining k-2 parts around r; round k-1
+  // is the self-pairs.
+  std::vector<std::vector<PartPair>> rounds(k);
+  for (unsigned slot = 0; slot < k; ++slot) {
+    const unsigned r = order[slot];
+    std::vector<PartPair>& pairs = rounds[slot];
+    if (r == k - 1) {
+      for (unsigned p = 0; p < k; ++p) pairs.push_back({label[p], label[p]});
+      continue;
+    }
+    pairs.push_back({label[r], label[k - 1]});
+    for (unsigned i = 1; i < k / 2; ++i) {
+      pairs.push_back(
+          {label[(r + i) % (k - 1)], label[(r + k - 1 - i) % (k - 1)]});
+    }
+  }
+  return rounds;
+}
+
 DeviceTrainer::DeviceTrainer(simt::Device& device, const graph::Graph& graph,
                              const TrainConfig& config)
     : device_(device),
       graph_(graph),
       config_(config),
-      device_graph_(device, graph) {}
+      device_graph_(device, graph) {
+  const vid_t n = graph.num_vertices();
+  const unsigned parts = blocked_part_count(n, config);
+  const std::size_t chain_bytes = 2 * sizeof(std::uint32_t) * n;
+  if (parts != 0 && graph.has_sorted_adjacency() &&
+      device.memory_free() >= EmbeddingMatrix::bytes_for(n, config.dim) +
+                                  chain_bytes + 2 * kCacheLine) {
+    blocked_parts_ = parts;
+    chain_ = simt::DeviceBuffer<std::uint32_t>(device, 2 * std::size_t{n});
+  }
+}
 
 void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs) {
   train(matrix, epochs, 0, epochs);
@@ -48,7 +119,6 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
         "DeviceTrainer: lr_total must be >= 1 when epochs > 0");
   }
   const vid_t n = graph_.num_vertices();
-  const unsigned d = config_.dim;
 
   // Upload M once; all epochs train in place on device (Algorithm 2
   // line 6: CopyToDevice(G_i, M_i)).
@@ -56,34 +126,42 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
   matrix_device.copy_from_host(
       std::span<const emb_t>(matrix.data(), matrix.size()));
 
-  for (unsigned epoch = 0; epoch < epochs; ++epoch) {
-    const float lr = decayed_learning_rate(config_.learning_rate,
-                                           lr_offset + epoch, lr_total);
-    const std::uint64_t epoch_seed =
-        hash_combine(config_.seed, lr_offset + epoch);
-    run_epoch(matrix_device.data(), n, lr, epoch_seed);
-
-    // Analytic traffic accounting per epoch (see simt/metrics.hpp): every
-    // vertex stages d in + d out and touches (1+ns)*d sample elements
-    // twice; with the naive kernel everything is global.
-    const std::uint64_t per_vertex_sample =
-        2ull * (1 + config_.negative_samples) * d;
-    const std::uint64_t per_vertex_source = 2ull * d;
-    if (config_.naive_kernel) {
-      device_.metrics().add_global_accesses(
-          n * (per_vertex_sample + per_vertex_source +
-               2ull * (1 + config_.negative_samples) * d));
-    } else {
-      device_.metrics().add_global_accesses(n *
-                                            (per_vertex_sample +
-                                             per_vertex_source));
-      device_.metrics().add_shared_accesses(
-          n * 2ull * (1 + config_.negative_samples) * d);
+  if (blocked_parts_ != 0) {
+    train_blocked(matrix_device.data(), epochs, lr_offset, lr_total);
+  } else {
+    for (unsigned epoch = 0; epoch < epochs; ++epoch) {
+      const float lr = decayed_learning_rate(config_.learning_rate,
+                                             lr_offset + epoch, lr_total);
+      const std::uint64_t epoch_seed =
+          hash_combine(config_.seed, lr_offset + epoch);
+      run_epoch(matrix_device.data(), n, lr, epoch_seed);
+      account_pass();
+      if (config_.on_epoch) config_.on_epoch(lr_offset + epoch, lr_total);
     }
-    if (config_.on_epoch) config_.on_epoch(lr_offset + epoch, lr_total);
   }
 
   matrix_device.copy_to_host(std::span<emb_t>(matrix.data(), matrix.size()));
+}
+
+void DeviceTrainer::account_pass() {
+  // Analytic traffic accounting per pass (see simt/metrics.hpp): every
+  // vertex stages d in + d out and touches (1+ns)*d sample elements
+  // twice; with the naive kernel everything is global.
+  const std::uint64_t n = graph_.num_vertices();
+  const unsigned d = config_.dim;
+  const std::uint64_t per_vertex_sample =
+      2ull * (1 + config_.negative_samples) * d;
+  const std::uint64_t per_vertex_source = 2ull * d;
+  if (config_.naive_kernel) {
+    device_.metrics().add_global_accesses(
+        n * (per_vertex_sample + per_vertex_source +
+             2ull * (1 + config_.negative_samples) * d));
+  } else {
+    device_.metrics().add_global_accesses(n * (per_vertex_sample +
+                                               per_vertex_source));
+    device_.metrics().add_shared_accesses(
+        n * 2ull * (1 + config_.negative_samples) * d);
+  }
 }
 
 namespace {
@@ -162,7 +240,7 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
       // update the stale global row underneath the shared-memory copy only
       // for the closing writeback to clobber it — skip it.
       const unsigned applied = train_source(
-          staged, d, ns, lr, sigmoid, rule,
+          staged, d, /*positives=*/1, ns, lr, sigmoid, rule,
           [&]() -> emb_t* {
             const vid_t positive =
                 ppr ? graph.ppr_sample(src, ppr_alpha, rng)
@@ -195,7 +273,120 @@ void launch_train_epoch(simt::Device& device, const DeviceGraph& graph,
       static_cast<std::size_t>(num_vertices) * d * sizeof(emb_t), kernel);
 }
 
+/// Seed of the blocked cycle that starts at pass `first_pass` of a level
+/// trained with `seed`; round r of the cycle seeds its sources from
+/// hash_combine(cycle seed, r). The stream sits above 2^32, apart from
+/// the per-pass seeds of unblocked levels.
+std::uint64_t blocked_cycle_seed(std::uint64_t seed,
+                                 unsigned first_pass) noexcept {
+  return hash_combine(seed, (std::uint64_t{1} << 32) + first_pass);
+}
+
+/// One round of a blocked level: its pairs run as the tasks of one launch,
+/// each pair training the sources of both its parts in turn, with every
+/// sample row inside the pair.
+template <typename Sigmoid>
+void launch_blocked_round(simt::Device& device,
+                          const BlockedSchedule& schedule,
+                          const std::vector<PartPair>& pairs,
+                          const BlockedRound& round, emb_t* matrix_device,
+                          const TrainConfig& config, float lr,
+                          const Sigmoid& sigmoid) {
+  const unsigned d = config.dim;
+  const UpdateRule rule = config.update_rule;
+  const unsigned idle =
+      idle_lanes(d, lanes_per_vertex(d, config.small_dim_packing));
+  auto kernel = [&](const simt::WarpContext& ctx) {
+    // Seeded from a runtime value, as in launch_train_epoch.
+    float lane_sink = lr + 1.0f;
+    emb_t* const staged = reinterpret_cast<emb_t*>(ctx.shared);
+    auto row = [matrix_device, d](vid_t v) {
+      return matrix_device + static_cast<std::size_t>(v) * d;
+    };
+    const auto train_part = [&](unsigned part, unsigned partner) {
+      for_each_blocked_source(
+          round, schedule.part_begin(part), schedule.part_end(part),
+          schedule.part_begin(partner), schedule.part_end(partner),
+          [&](vid_t src, unsigned positives, auto&& draw_positive,
+              auto&& draw_negative) {
+            emb_t* const source_row = row(src);
+            std::memcpy(staged, source_row, d * sizeof(emb_t));
+            // A self sample would update the global row under the staged
+            // copy, for the writeback to clobber: skip it.
+            const unsigned applied = train_source(
+                staged, d, positives, round.negatives, lr, sigmoid, rule,
+                [&]() -> emb_t* {
+                  const vid_t positive = draw_positive();
+                  return positive != src ? row(positive) : nullptr;
+                },
+                [&]() -> emb_t* {
+                  const vid_t negative = draw_negative();
+                  return negative != src ? row(negative) : nullptr;
+                });
+            lane_sink = burn_idle_lanes(idle * applied, lane_sink);
+            std::memcpy(source_row, staged, d * sizeof(emb_t));
+          });
+    };
+    const PartPair& pair = pairs[ctx.warp_id];
+    train_part(pair.a, pair.b);
+    if (pair.a != pair.b) train_part(pair.b, pair.a);
+    if (lane_sink == -1.0f) std::abort();
+  };
+  device.launch_tasks(pairs.size(), d * sizeof(emb_t), kernel);
+}
+
 }  // namespace
+
+void DeviceTrainer::train_blocked(emb_t* matrix_device, unsigned epochs,
+                                  unsigned lr_offset, unsigned lr_total) {
+  const unsigned k = blocked_parts_;
+  const BlockedSchedule schedule(graph_.num_vertices(), k);
+  const auto pass_lr = [&](unsigned pass) {
+    return decayed_learning_rate(config_.learning_rate, lr_offset + pass,
+                                 lr_total);
+  };
+  BlockedRound round;
+  round.xadj = device_graph_.xadj();
+  round.adj = device_graph_.adj();
+  round.chain = chain_.data();
+  for (unsigned first = 0; first < epochs; first += k) {
+    const unsigned trained = std::min(k, epochs - first);
+    const std::uint64_t cycle_seed =
+        blocked_cycle_seed(config_.seed, lr_offset + first);
+    const std::vector<std::vector<PartPair>> rounds =
+        schedule.cycle(cycle_seed);
+    round.cycle_draws = trained;
+    // A positive lands in any round of the cycle with equal chance, so
+    // running the positive-only rounds at the mean rate of the training
+    // rounds gives each positive Algorithm 3's mean rate over these
+    // passes in expectation; the last rate would weigh them down.
+    float positive_only_lr = 0.0f;
+    for (unsigned r = 0; r < trained; ++r) {
+      positive_only_lr += pass_lr(first + r);
+    }
+    positive_only_lr /= static_cast<float>(trained);
+    for (unsigned r = 0; r < k; ++r) {
+      const bool training = r < trained;
+      round.seed = hash_combine(cycle_seed, r);
+      round.negatives = training ? config_.negative_samples : 0;
+      round.cycle_start = r == 0;
+      const float lr = training ? pass_lr(first + r) : positive_only_lr;
+      if (config_.use_sigmoid_lut) {
+        launch_blocked_round(device_, schedule, rounds[r], round,
+                             matrix_device, config_, lr,
+                             default_sigmoid_table());
+      } else {
+        launch_blocked_round(device_, schedule, rounds[r], round,
+                             matrix_device, config_, lr, ExactSigmoid{});
+      }
+      if (!training) continue;
+      account_pass();
+      if (config_.on_epoch) {
+        config_.on_epoch(lr_offset + first + r, lr_total);
+      }
+    }
+  }
+}
 
 void DeviceTrainer::run_epoch(emb_t* matrix_device, vid_t num_vertices,
                               float lr, std::uint64_t epoch_seed) {

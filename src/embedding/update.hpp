@@ -14,13 +14,18 @@
 // The source row is expected to live in warp shared memory (the trainer
 // stages it); the sample row is touched in global memory exactly once per
 // element, as the paper prescribes. train_source() is the per-source
-// sample loop both device kernels (resident and pair) run around it.
+// sample loop every device kernel (resident, blocked and pair) runs around
+// it; for_each_blocked_source() is the sampling half of the blocked
+// resident kernel's pair task.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <span>
 
 #include "gosh/common/aligned_buffer.hpp"
+#include "gosh/common/rng.hpp"
 #include "gosh/common/sigmoid.hpp"
 #include "gosh/common/simd.hpp"
 #include "gosh/common/types.hpp"
@@ -93,34 +98,125 @@ inline void prefetch_row(const emb_t* row, unsigned d) noexcept {
   }
 }
 
-/// One source's sample loop (Algorithm 3 lines 4-8), shared by the
-/// resident and the pair kernel: draws the positive, then `ns` negatives,
+/// One source's sample loop (Algorithm 3 lines 4-8), shared by every
+/// device kernel: draws `positives` positives, then `ns` negatives,
 /// prefetches the rows drawn, then applies the Algorithm 1 updates in draw
 /// order. Each draw returns the sample's row, or nullptr for a draw the
 /// kernel skips (no neighbour, a self sample). Draws never read the
 /// matrix, so drawing ahead leaves the RNG stream and every update exactly
-/// as an interleaved loop would. Returns the number of updates applied.
+/// as an interleaved loop would; that also lets a source with more draws
+/// than the buffer holds apply them in several batches. Returns the
+/// number of updates applied.
 template <typename Sigmoid, typename DrawPositive, typename DrawNegative>
-inline unsigned train_source(emb_t* source, unsigned d, unsigned ns,
-                             float lr, const Sigmoid& sigmoid,
+inline unsigned train_source(emb_t* source, unsigned d, unsigned positives,
+                             unsigned ns, float lr, const Sigmoid& sigmoid,
                              UpdateRule rule, DrawPositive&& draw_positive,
                              DrawNegative&& draw_negative) noexcept {
   assert(ns <= kMaxNegativeSamples);
+  constexpr unsigned kCapacity = 1 + kMaxNegativeSamples;
   // Only rows[0, count) is ever read, each slot written just before;
   // zero-filling all 65 slots per source would tax the hottest loop.
-  emb_t* rows[1 + kMaxNegativeSamples];
+  emb_t* rows[kCapacity];
   unsigned count = 0;
-  emb_t* const positive = draw_positive();
-  if (positive != nullptr) rows[count++] = positive;
+  unsigned applied = 0;
+  // Positives are drawn first, so rows[0, labeled) carry label 1.
+  const auto apply = [&](unsigned labeled) {
+    for (unsigned i = 0; i < count; ++i) prefetch_row(rows[i], d);
+    for (unsigned i = 0; i < count; ++i) {
+      update_embedding(source, rows[i], d, i < labeled ? 1.0f : 0.0f, lr,
+                       sigmoid, rule);
+    }
+    applied += count;
+    count = 0;
+  };
+  for (unsigned p = 0; p < positives; ++p) {
+    if (count == kCapacity) apply(count);
+    if (emb_t* const positive = draw_positive()) rows[count++] = positive;
+  }
+  if (count + ns > kCapacity) apply(count);
+  const unsigned labeled = count;
   for (unsigned k = 0; k < ns; ++k) {
     if (emb_t* const negative = draw_negative()) rows[count++] = negative;
   }
-  for (unsigned i = 0; i < count; ++i) prefetch_row(rows[i], d);
-  for (unsigned i = 0; i < count; ++i) {
-    const float label = i == 0 && positive != nullptr ? 1.0f : 0.0f;
-    update_embedding(source, rows[i], d, label, lr, sigmoid, rule);
+  apply(labeled);
+  return applied;
+}
+
+/// One round of a blocked resident level as its pair tasks see it. A
+/// blocked level (BlockedSchedule, trainer.hpp) trains in cycles of K
+/// rounds over K contiguous parts; in each round every part meets one
+/// partner part, and every part meets every part once per cycle.
+struct BlockedRound {
+  const eid_t* xadj = nullptr;  ///< the level's CSR, neighbour lists sorted
+  const vid_t* adj = nullptr;
+  /// The binomial chain's state, two counters per vertex: positives left
+  /// to draw in this cycle, and neighbours left in parts not yet met.
+  std::uint32_t* chain = nullptr;
+  std::uint64_t seed = 0;    ///< source v draws from hash_combine(seed, v)
+  unsigned cycle_draws = 0;  ///< positives per source per cycle
+  unsigned negatives = 0;    ///< ns in a training round, 0 in positive-only
+  bool cycle_start = false;  ///< the cycle's first round resets the chain
+};
+
+/// The sampling half of a blocked pair task: the sources [begin, end) of
+/// one part, in order, against the partner part [partner_begin,
+/// partner_end). A source's positives for the round come from a binomial
+/// chain over the parts in the order the cycle meets them: in the round
+/// that meets a part holding m of its neighbours, with n neighbours in
+/// parts not yet met and c positives left to draw, it takes
+/// Binomial(c, m / n) of them, each a uniform pick from the m. This is the
+/// sequential form of a multinomial, so a cycle's positives have exactly
+/// the distribution of cycle_draws independent uniform neighbour picks,
+/// Algorithm 3's one per pass. Calls `train(src, positives, draw_positive,
+/// draw_negative)` for every source with a draw to make; it must call
+/// draw_positive `positives` times, then draw_negative `round.negatives`
+/// times. Draws return raw vertex ids, a self sample included: positives
+/// uniform over the neighbours in the partner part, negatives uniform over
+/// the partner part.
+template <typename Train>
+inline void for_each_blocked_source(const BlockedRound& round, vid_t begin,
+                                    vid_t end, vid_t partner_begin,
+                                    vid_t partner_end, Train&& train) {
+  const vid_t partner_size = partner_end - partner_begin;
+  for (vid_t src = begin; src < end; ++src) {
+    const vid_t* const neighbours = round.adj + round.xadj[src];
+    const vid_t* const neighbours_end = round.adj + round.xadj[src + 1];
+    std::uint32_t* const state = round.chain + 2 * std::size_t{src};
+    if (round.cycle_start) {
+      state[0] = round.cycle_draws;
+      state[1] = static_cast<std::uint32_t>(neighbours_end - neighbours);
+    }
+    // Sorted adjacency: the neighbours in the partner part are one span.
+    const vid_t* const held_begin =
+        std::lower_bound(neighbours, neighbours_end, partner_begin);
+    const vid_t* const held_end =
+        std::lower_bound(held_begin, neighbours_end, partner_end);
+    const auto held = static_cast<std::uint32_t>(held_end - held_begin);
+    if (held == 0 && round.negatives == 0) continue;
+
+    Rng rng(hash_combine(round.seed, src));
+    unsigned positives = 0;
+    if (held != 0) {
+      if (held == state[1]) {
+        positives = state[0];  // the last part met takes every draw left
+      } else {
+        // Bernoulli trials with integer odds: exactly Binomial(c, m / n).
+        for (std::uint32_t i = 0; i < state[0]; ++i) {
+          positives += rng.next_bounded(state[1]) < held;
+        }
+      }
+      state[0] -= positives;
+      state[1] -= held;
+    }
+    if (positives + round.negatives == 0) continue;
+    train(
+        src, positives,
+        [&]() -> vid_t { return held_begin[rng.next_bounded(held)]; },
+        [&]() -> vid_t {
+          return partner_begin +
+                 static_cast<vid_t>(rng.next_bounded(partner_size));
+        });
   }
-  return count;
 }
 
 }  // namespace gosh::embedding

@@ -91,7 +91,7 @@ void run_pair_kernel(simt::Device& device, const PairKernelArgs& args,
       // is staged in shared memory, only for the closing writeback to
       // clobber it — skip it, as the resident kernel does.
       embedding::train_source(
-          staged, d, args.ns, args.lr, sigmoid, args.rule,
+          staged, d, /*positives=*/1, args.ns, args.lr, sigmoid, args.rule,
           [&]() -> emb_t* {
             const vid_t positive =
                 positives[static_cast<std::size_t>(local) * args.batch_B + i];

@@ -46,6 +46,7 @@ struct Device::Impl {
   struct Launch {
     std::size_t num_warps = 0;
     std::size_t shared_bytes = 0;
+    std::size_t grain = 1;  // warps one cursor claim takes
     const WarpKernel* kernel = nullptr;
     std::atomic<std::size_t> cursor{0};
     std::size_t completed = 0;  // guarded by Impl::mutex
@@ -73,7 +74,9 @@ struct Device::Impl {
     for (auto& t : threads) t.join();
   }
 
-  void run(std::size_t num_warps, std::size_t shared_bytes, bool inline_run,
+  /// `grain` is the claim size of a spread launch; an inline launch
+  /// (`grain` == 0) runs every warp on the calling thread.
+  void run(std::size_t num_warps, std::size_t shared_bytes, std::size_t grain,
            const WarpKernel& kernel) {
     common::UniqueLock lock(mutex);
     // One launch at a time per device; concurrent launchers (one per
@@ -83,7 +86,7 @@ struct Device::Impl {
     while (busy) idle_cv.wait(lock);
     busy = true;
 
-    if (inline_run) {
+    if (grain == 0) {
       lock.unlock();
       // Releases the slot even if the kernel throws, so the device stays
       // usable for the next launcher.
@@ -104,6 +107,7 @@ struct Device::Impl {
     Launch launch;
     launch.num_warps = num_warps;
     launch.shared_bytes = shared_bytes;
+    launch.grain = grain;
     launch.kernel = &kernel;
     current = &launch;
     ++generation;
@@ -127,7 +131,6 @@ struct Device::Impl {
 
   void worker_loop(unsigned worker_index) {
     AlignedBuffer<std::byte>& arena = shared_arenas[worker_index];
-    const std::size_t grain = std::max<std::size_t>(1, config.warp_grain);
 
     common::UniqueLock lock(mutex);
     for (;;) {
@@ -141,9 +144,10 @@ struct Device::Impl {
       std::size_t processed = 0;
       for (;;) {
         const std::size_t begin =
-            launch->cursor.fetch_add(grain, std::memory_order_relaxed);
+            launch->cursor.fetch_add(launch->grain, std::memory_order_relaxed);
         if (begin >= launch->num_warps) break;
-        const std::size_t end = std::min(begin + grain, launch->num_warps);
+        const std::size_t end =
+            std::min(begin + launch->grain, launch->num_warps);
         WarpContext ctx;
         ctx.shared = arena.data();
         ctx.shared_bytes = launch->shared_bytes;
@@ -222,6 +226,20 @@ void Device::deallocate(void* pointer, std::size_t bytes) noexcept {
 void Device::launch_blocking(std::size_t num_warps, std::size_t shared_bytes,
                              std::size_t working_set_bytes,
                              const WarpKernel& kernel) {
+  launch(num_warps, shared_bytes,
+         working_set_bytes <= core_l2_bytes()
+             ? 0
+             : std::max<std::size_t>(1, config_.warp_grain),
+         kernel);
+}
+
+void Device::launch_tasks(std::size_t num_tasks, std::size_t shared_bytes,
+                          const WarpKernel& kernel) {
+  launch(num_tasks, shared_bytes, /*grain=*/1, kernel);
+}
+
+void Device::launch(std::size_t num_warps, std::size_t shared_bytes,
+                    std::size_t grain, const WarpKernel& kernel) {
   if (num_warps == 0) return;
   if (shared_bytes > config_.max_shared_bytes) {
     throw std::invalid_argument(
@@ -229,8 +247,7 @@ void Device::launch_blocking(std::size_t num_warps, std::size_t shared_bytes,
   }
   metrics_.add_kernel();
   metrics_.add_warps(num_warps);
-  impl_->run(num_warps, shared_bytes, working_set_bytes <= core_l2_bytes(),
-             kernel);
+  impl_->run(num_warps, shared_bytes, grain, kernel);
 }
 
 }  // namespace gosh::simt

@@ -21,9 +21,15 @@
 // worker pool. Spreading a cache-resident matrix buys no parallelism on a
 // host: concurrent HOGWILD row writes bounce its cache lines between
 // cores, so on a 4-vCPU Xeon the coarse GOSH levels ran slower on four
-// workers than on one and burned 4-5x the CPU per sample. Both paths hold
-// the device's single launch slot and are metered alike; only the thread
-// that runs the warps differs.
+// workers than on one and burned 4-5x the CPU per sample. A spread launch
+// over a matrix above L2 pays the other side of that trade: every sample
+// is a random row far from the core. Task launches (launch_tasks) are the
+// way out: the caller cuts the work into tasks that each touch an
+// L2-sized slice of rows no other task of the launch touches, and each
+// worker claims one task at a time, so one core owns a slice for the
+// whole task. The blocked resident trainer runs its part pairs this way.
+// All paths hold the device's single launch slot and are metered alike;
+// only the thread that runs the warps and the claim size differ.
 //
 // Device "memory" is ordinary host memory behind a capacity meter: the
 // emulation is about control flow and limits, not about simulating DRAM
@@ -121,9 +127,20 @@ class Device {
                        std::size_t working_set_bytes,
                        const WarpKernel& kernel);
 
+  /// Runs `kernel` once per task in [0, num_tasks) on the worker pool,
+  /// blocking until all complete; WarpContext::warp_id is the task index.
+  /// Each worker claims one task at a time, whatever warp_grain says, so
+  /// N tasks on N or more workers all run at once.
+  void launch_tasks(std::size_t num_tasks, std::size_t shared_bytes,
+                    const WarpKernel& kernel);
+
   Metrics& metrics() noexcept { return metrics_; }
 
  private:
+  /// `grain` warps per worker claim; 0 runs every warp on the caller.
+  void launch(std::size_t num_warps, std::size_t shared_bytes,
+              std::size_t grain, const WarpKernel& kernel);
+
   struct Impl;
   DeviceConfig config_;
   unsigned worker_count_;

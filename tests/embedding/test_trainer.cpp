@@ -287,14 +287,44 @@ TEST(Trainer, RejectsTooManyNegativeSamples) {
 }
 
 TEST(Trainer, MatrixAboveL2RunsOnTheWorkerPool) {
-  // 16384 x 128 floats = 8 MiB, above any per-core L2: every launch takes
-  // the worker pool, so this is the trainer test that keeps the spread
-  // path under the race detector. One worker is enough to check the
-  // hand-off of the matrix to the pool and back; a second would only add
-  // the HOGWILD sample-row race .tsan-suppressions waives, and the
-  // detector spends minutes on those reports.
+  // 16384 x 128 floats = 8 MiB, above any per-core L2. The naive kernel
+  // keeps the launch over the whole matrix, spread over the worker pool,
+  // so this is the trainer test that keeps the spread path under the race
+  // detector. One worker is enough to check the hand-off of the matrix to
+  // the pool and back; a second would only add the HOGWILD sample-row
+  // race .tsan-suppressions waives, and the detector spends minutes on
+  // those reports.
   simt::DeviceConfig device_config = test_device_config();
   device_config.workers = 1;
+  simt::Device device(device_config);
+  const auto g = graph::erdos_renyi(16384, 65536, 17);
+  TrainConfig config;
+  config.dim = 128;
+  config.naive_kernel = true;
+  EmbeddingMatrix m(g.num_vertices(), config.dim);
+  m.initialize_random(17);
+  ASSERT_GT(m.bytes(), simt::core_l2_bytes());
+  const std::vector<emb_t> before(m.data(), m.data() + m.size());
+  device.metrics().reset();
+  DeviceTrainer trainer(device, g, config);
+  EXPECT_EQ(trainer.blocked_parts(), 0u);
+  trainer.train(m, 2);
+  EXPECT_EQ(device.metrics().snapshot().kernels_launched, 2u);
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(m.data()[i]));
+    changed += m.data()[i] != before[i];
+  }
+  EXPECT_GT(changed, m.size() / 2);
+}
+
+TEST(Trainer, BlockedMatrixAboveL2RunsOnTheWorkerPool) {
+  // The same level with the staged kernel trains in blocked passes: two
+  // training rounds of a K-round cycle, then K - 2 positive-only rounds,
+  // each one task launch. Its pairs never share a row, so two workers
+  // run it with nothing for the race detector to waive.
+  simt::DeviceConfig device_config = test_device_config();
+  device_config.workers = 2;
   simt::Device device(device_config);
   const auto g = graph::erdos_renyi(16384, 65536, 17);
   TrainConfig config;
@@ -305,8 +335,11 @@ TEST(Trainer, MatrixAboveL2RunsOnTheWorkerPool) {
   const std::vector<emb_t> before(m.data(), m.data() + m.size());
   device.metrics().reset();
   DeviceTrainer trainer(device, g, config);
+  const unsigned k = trainer.blocked_parts();
+  EXPECT_EQ(k, blocked_part_count(g.num_vertices(), config));
+  ASSERT_GE(k, 2u);
   trainer.train(m, 2);
-  EXPECT_EQ(device.metrics().snapshot().kernels_launched, 2u);
+  EXPECT_EQ(device.metrics().snapshot().kernels_launched, k);
   std::size_t changed = 0;
   for (std::size_t i = 0; i < m.size(); ++i) {
     ASSERT_TRUE(std::isfinite(m.data()[i]));

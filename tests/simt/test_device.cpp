@@ -165,6 +165,56 @@ TEST(DeviceLaunch, ConcurrentLaunchersSerialize) {
   EXPECT_FALSE(overlap.load());
 }
 
+TEST(Device, TaskLaunchClaimsOneTaskPerWorker) {
+  // Four tasks that each wait for all four to start finish only if four
+  // workers run them at once. A 16-warp claim would hand all four to one
+  // worker, whose first task would wait alone: each task gives up after a
+  // timeout instead of hanging the suite, and the test counts that.
+  Device device(small_config(1 << 20, 4));
+  std::atomic<int> started{0};
+  std::atomic<int> timed_out{0};
+  device.launch_tasks(4, 0, [&](const WarpContext&) {
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 4) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.fetch_add(1);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(started.load(), 4);
+  EXPECT_EQ(timed_out.load(), 0);
+}
+
+TEST(DeviceLaunch, TaskLaunchRunsEveryTaskOnceWithPrivateShared) {
+  Device device(small_config(1 << 20, 3));
+  constexpr std::size_t kTasks = 50;
+  std::vector<std::atomic<int>> hits(kTasks);
+  std::atomic<int> clobbered{0};
+  device.metrics().reset();
+  device.launch_tasks(kTasks, 256, [&](const WarpContext& ctx) {
+    hits[ctx.warp_id].fetch_add(1);
+    std::memset(ctx.shared, static_cast<int>(ctx.warp_id), 256);
+    std::this_thread::yield();
+    for (std::size_t i = 0; i < 256; ++i) {
+      if (ctx.shared[i] != static_cast<std::byte>(ctx.warp_id)) {
+        clobbered.fetch_add(1);
+        break;
+      }
+    }
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) EXPECT_EQ(hits[t].load(), 1);
+  EXPECT_EQ(clobbered.load(), 0);
+  EXPECT_EQ(device.metrics().snapshot().kernels_launched, 1u);
+  device.launch_tasks(0, 0, [](const WarpContext&) { FAIL(); });
+  EXPECT_THROW(device.launch_tasks(1, std::size_t{1} << 20,
+                                   [](const WarpContext&) {}),
+               std::invalid_argument);
+}
+
 TEST(DeviceMetrics, CountsKernelsAndWarps) {
   // Inline and spread launches are metered alike.
   Device device(small_config());

@@ -181,6 +181,16 @@ int main(int argc, char** argv) {
               "%zu levels)\n",
               result.backend.c_str(), result.total_seconds,
               result.coarsening_seconds, result.levels.size());
+  // blocked_parts is K of a resident level trained in blocked passes (its
+  // matrix exceeds one core's L2), 0 for any other level.
+  for (std::size_t i = 0; i < result.levels.size(); ++i) {
+    const embedding::LevelReport& level = result.levels[i];
+    std::printf("  level %zu: |V|=%u passes=%u %s blocked_parts=%u "
+                "(%.2f s)\n",
+                i, level.vertices, level.passes,
+                level.used_large_graph_path ? "partitioned" : "resident",
+                level.blocked_parts, level.train_seconds);
+  }
 
   if (profile != nullptr) {
     tracer.finish(profile);
