@@ -2,9 +2,9 @@
 // instead of) Options::from_args — the bench harnesses. Exit-on-error
 // lookups over the strict parsers, so a typo'd or negative flag value is a
 // diagnosed failure rather than a silent wrap, plus the shared
-// synthetic-analog banner the table/figure harnesses print and the
-// store/strategy usage block + service banner gosh_query and gosh_serve
-// share (the two tools speak the same serving flags; one text, one voice).
+// synthetic-analog banner the table/figure harnesses print, the service
+// banner gosh_query and gosh_serve share, and the three tools' exit on a
+// bad command line.
 #pragma once
 
 #include <cstdio>
@@ -49,50 +49,13 @@ inline unsigned long long require_flag_unsigned(int argc, char** argv,
   return static_cast<unsigned long long>(value);
 }
 
-/// The ServeOptions flag block shared verbatim between gosh_query and
-/// gosh_serve usage text — one source so the two tools cannot drift.
-/// (Each tool keeps its own header line and tool-only flags around it;
-/// scan parallelism is "--threads" in gosh_query and "--scan-threads" in
-/// gosh_serve, whose "--threads" is the connection worker pool.)
-inline const char* serve_flags_usage() {
-  return
-      "  --store PATH           GSHS embedding store (required)\n"
-      "  --index PATH           HNSW index file (default: STORE.hnsw)\n"
-      "  --strategy S           exact|hnsw|batched|router|auto|remote|\n"
-      "                         dist-router (default auto = hnsw when the\n"
-      "                         index exists, else exact)\n"
-      "  --shard I/N            serve only shard I of the N-sharded store,\n"
-      "                         in LOCAL ids (a dist-router child)\n"
-      "  --backends LIST        remote/dist-router backends: host:port\n"
-      "                         entries, ',' between shards, '|' between\n"
-      "                         replicas — or a file with one entry per line\n"
-      "  --remote-deadline-ms MS  whole budget per remote call (default 250)\n"
-      "  --retries N            extra attempts per remote call (default 2)\n"
-      "  --hedge-after-ms MS    hedge a quiet remote call after MS (clipped\n"
-      "                         to observed p99); 0 = off (default)\n"
-      "  --breaker-failures N   consecutive failures opening the circuit\n"
-      "                         breaker (default 5)\n"
-      "  --breaker-cooldown-ms MS  open duration before one half-open probe\n"
-      "                         (default 1000)\n"
-      "  --probe-interval-ms MS background /healthz probe cadence; 0 = off\n"
-      "                         (default 200)\n"
-      "  --require-all-shards   refuse partial merges: degraded answers\n"
-      "                         become 503 instead of degraded: true\n"
-      "  --k K                  neighbors per query (default 10)\n"
-      "  --metric M             cosine|dot|l2 (default cosine)\n"
-      "  --aggregate A          multi-vector combine rule: max|mean\n"
-      "  --filter LO:HI         only ids in [LO, HI) may appear in answers\n"
-      "  --batch B              most queries one shared exact pass answers\n"
-      "  --cache                wrap the strategy behind the semantic result\n"
-      "                         cache (same as a cached:<strategy> name)\n"
-      "  --cache-threshold T    cosine floor for proximity hits in [0, 1];\n"
-      "                         1.0 = exact-byte matches only (default 0.99)\n"
-      "  --cache-capacity N     max cached entries, LRU beyond (default 1024)\n"
-      "  --cache-ttl-ms MS      entry lifetime; 0 = no expiry (default)\n"
-      "  --ef EF                HNSW search beam width (default 64)\n"
-      "  --block-rows N         rows per scan block (default 2048)\n"
-      "  --no-verify            skip the store checksum pass at open\n"
-      "  --options FILE         key=value options file; flags override it\n";
+/// A tool's exit on a bad command line: the Status, then the synopsis and
+/// a pointer to --help, on stderr.
+template <typename T>
+int usage_error(const Status& status, const OptionTable<T>& table) {
+  std::fprintf(stderr, "error: %s\n%s(--help lists every flag)\n",
+               status.to_string().c_str(), std::string(table.usage).c_str());
+  return 1;
 }
 
 /// The "store ... rows x dim, strategy, metric" banner both serving tools

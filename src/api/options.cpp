@@ -1,22 +1,10 @@
 #include "gosh/api/options.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <fstream>
-#include <type_traits>
+#include <cstddef>
 #include <utility>
-#include <vector>
 
 namespace gosh::api {
 namespace {
-
-std::string quoted(std::string_view text) {
-  std::string out = "'";
-  out += text;
-  out += "'";
-  return out;
-}
 
 /// The preset-controlled fields of GoshConfig (Table 3). Deliberately does
 /// NOT reset the rest of `gosh`, so `preset` composes with explicit knobs
@@ -33,7 +21,7 @@ Status apply_preset(Options& options) {
     base = embedding::gosh_no_coarsening(options.large_scale);
   } else {
     return Status::invalid_argument(
-        "unknown preset " + quoted(options.preset) +
+        "unknown preset " + detail::quoted(options.preset) +
         " (expected fast|normal|slow|nocoarse)");
   }
   options.gosh.smoothing_ratio = base.smoothing_ratio;
@@ -44,149 +32,19 @@ Status apply_preset(Options& options) {
   return Status::ok();
 }
 
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front())))
-    text.remove_prefix(1);
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
-    text.remove_suffix(1);
-  return text;
-}
-
-using KeyValue = std::pair<std::string, std::string>;
-
-/// Applies pairs with `large-scale` first, `preset` second, the rest in
-/// order — so the preset seeds the config no matter where it was written,
-/// and explicit knobs (from any source) land after it.
-Status apply_pairs(Options& options, const std::vector<KeyValue>& pairs) {
-  for (const auto& [key, value] : pairs) {
-    if (key != "large-scale") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  for (const auto& [key, value] : pairs) {
-    if (key != "preset") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  for (const auto& [key, value] : pairs) {
-    if (key == "large-scale" || key == "preset") continue;
-    if (Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  return Status::ok();
-}
-
-template <typename T, typename Parser>
-Status set_scalar(T& field, std::string_view key, std::string_view value,
-                  Parser parse) {
-  auto parsed = parse(value);
-  if (!parsed.ok()) {
-    return Status::invalid_argument(std::string(key) + ": " +
-                                    parsed.status().message());
-  }
-  const auto raw = parsed.value();
-  if constexpr (std::is_integral_v<T> &&
-                !std::is_same_v<T, bool> &&
-                std::is_integral_v<decltype(raw)>) {
-    // A value the field cannot hold is an error, not a silent wrap —
-    // `--dim 4294967297` must not become dim=1.
-    if (!std::in_range<T>(raw))
-      return Status::invalid_argument(std::string(key) +
-                                      ": value out of range " +
-                                      quoted(value));
-  }
-  field = static_cast<T>(raw);
-  return Status::ok();
+/// `row`, applied before every other key and re-seeding the preset's
+/// knobs after each parse: the preset and large-scale rows.
+OptionRow<Options> reseeds_preset(OptionRow<Options> row) {
+  row.parse = [parse = std::move(row.parse)](Options& options,
+                                              std::string_view value) {
+    if (Status status = parse(options, value); !status.is_ok()) return status;
+    return apply_preset(options);
+  };
+  row.applies_first = true;
+  return row;
 }
 
 }  // namespace
-
-// Parses one key=value file into pairs (no application yet, so file and
-// CLI sources can be merged before any reordering the caller needs).
-Status read_options_file(const std::string& path, KeyValuePairs& pairs) {
-  std::ifstream file(path);
-  if (!file)
-    return Status::io_error("cannot open options file " + quoted(path));
-
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(file, line)) {
-    ++line_number;
-    std::string_view text = line;
-    if (const std::size_t hash = text.find('#'); hash != std::string::npos)
-      text = text.substr(0, hash);
-    text = trim(text);
-    if (text.empty()) continue;
-    const std::size_t equals = text.find('=');
-    if (equals == std::string_view::npos)
-      return Status::invalid_argument(
-          path + ":" + std::to_string(line_number) +
-          ": expected key=value, got " + quoted(text));
-    const std::string_view key = trim(text.substr(0, equals));
-    const std::string_view value = trim(text.substr(equals + 1));
-    if (key.empty())
-      return Status::invalid_argument(path + ":" +
-                                      std::to_string(line_number) +
-                                      ": empty key");
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-  return Status::ok();
-}
-
-Result<long long> parse_integer(std::string_view text) {
-  text = trim(text);
-  if (text.empty()) return Status::invalid_argument("empty integer");
-  long long value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc::result_out_of_range)
-    return Status::invalid_argument("integer out of range: " + quoted(text));
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected an integer, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<unsigned long long> parse_unsigned(std::string_view text) {
-  text = trim(text);
-  if (!text.empty() && text.front() == '-')
-    return Status::invalid_argument("expected a non-negative integer, got " +
-                                    quoted(text));
-  if (text.empty()) return Status::invalid_argument("empty integer");
-  // Parsed as unsigned directly so (LLONG_MAX, ULLONG_MAX] stays legal —
-  // a 64-bit seed may use the full range.
-  unsigned long long value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc::result_out_of_range)
-    return Status::invalid_argument("integer out of range: " + quoted(text));
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected an integer, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<double> parse_real(std::string_view text) {
-  text = trim(text);
-  if (text.empty()) return Status::invalid_argument("empty number");
-  double value = 0.0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error != std::errc() || end != text.data() + text.size())
-    return Status::invalid_argument("expected a number, got " + quoted(text));
-  if (!std::isfinite(value))
-    return Status::invalid_argument("expected a finite number, got " +
-                                    quoted(text));
-  return value;
-}
-
-Result<bool> parse_bool(std::string_view text) {
-  text = trim(text);
-  if (text == "true" || text == "1") return true;
-  if (text == "false" || text == "0") return false;
-  return Status::invalid_argument("expected true|false|1|0, got " +
-                                  quoted(text));
-}
 
 Result<long long> flag_integer(int argc, char** argv, std::string_view name,
                                long long fallback) {
@@ -233,255 +91,173 @@ std::vector<std::string> flag_list(int argc, char** argv,
   return fallback;
 }
 
+const OptionTable<Options>& Options::table() {
+  using O = Options;
+  using G = embedding::GoshConfig;
+  using TC = embedding::TrainConfig;
+  using CC = coarsen::CoarseningConfig;
+  using LG = largegraph::LargeGraphConfig;
+  using embedding::PositiveSampling;
+  using embedding::UpdateRule;
+  static const OptionTable<O> table{
+      "usage: gosh_embed (--input edges.txt | --demo) [--output emb.bin] "
+      "[flags]\n",
+      "option",
+      {{"input and output",
+        {option<O>("input", "PATH", "edge list: whitespace pairs, '#' comments",
+                   &O::input_path),
+         flag<O>("demo", "embed a generated LFR graph instead", &O::demo),
+         option<O>("output", "PATH", "embedding output file", &O::output_path),
+         option<O>("format", "F",
+                   "binary|text|store; store writes the GSHS layout "
+                   "gosh_query and gosh_serve read",
+                   &O::output_format, one_of("binary|text|store")),
+         option<O>("rows-per-shard", "N", "store rows per shard; 0 = one shard",
+                   &O::rows_per_shard),
+         flag<O>("eval",
+                 "embed an 80/20 split and report its link-prediction AUCROC",
+                 &O::run_eval),
+         flag<O>("verbose", "narrate per-level progress", &O::verbose),
+         option<O>("trace-out", "PATH", "write the run's trace as Chrome JSON",
+                   &O::trace_out)}},
+       {"backend and preset (Table 3)",
+        {option<O>("backend", "NAME",
+                   "auto, device, largegraph, multidevice, verse-cpu, "
+                   "line-device or mile; auto = device when the graph fits "
+                   "in device memory, else largegraph",
+                   &O::backend, nonempty("empty name")),
+         reseeds_preset(option<O>(
+             "preset", "NAME",
+             "fast|normal|slow|nocoarse; sets the learning rate, e, p and "
+             "coarsening, which the other flags override",
+             &O::preset, one_of("fast|normal|slow|nocoarse"))),
+         reseeds_preset(flag<O>("large-scale",
+                                "take the preset's e_large epoch budget",
+                                &O::large_scale))}},
+       {"training (Algorithm 1)",
+        {option<O>("dim", "D", "embedding dimension",
+                   at(&O::gosh, &G::train, &TC::dim), within(1, 4096)),
+         option<O>("negative-samples", "NS", "negative samples per positive",
+                   at(&O::gosh, &G::train, &TC::negative_samples),
+                   within(1, 64)),
+         option<O>("learning-rate", "LR",
+                   "initial learning rate, decayed per epoch",
+                   at(&O::gosh, &G::train, &TC::learning_rate),
+                   within(0, 10, /*exclude_lo=*/true)),
+         option<O>("epochs", "E", "epoch budget e over all levels",
+                   at(&O::gosh, &G::total_epochs), at_least(1)),
+         option<O>("smoothing", "P",
+                   "smoothing ratio p of the epoch split over the levels",
+                   at(&O::gosh, &G::smoothing_ratio), within(0, 1)),
+         option<O>("edge-epochs", "BOOL",
+                   "an epoch samples |E| targets as in the paper; false "
+                   "counts |V|-sample passes",
+                   at(&O::gosh, &G::edge_epochs)),
+         choice<O>("update-rule", "RULE",
+                   "simultaneous or sequential updates of the source and "
+                   "sample rows",
+                   at(&O::gosh, &G::train, &TC::update_rule),
+                   {{"simultaneous", UpdateRule::kSimultaneous},
+                    {"sequential", UpdateRule::kPaperSequential}}),
+         choice<O>("positive-sampling", "MODE",
+                   "adjacency or ppr positive samples",
+                   at(&O::gosh, &G::train, &TC::positive_sampling),
+                   {{"adjacency", PositiveSampling::kAdjacency},
+                    {"ppr", PositiveSampling::kPpr}}),
+         option<O>("seed", "S", "RNG seed",
+                   at(&O::gosh, &G::train, &TC::seed))}},
+       {"device",
+        {{.key = "device-mib",
+          .value_name = "M",
+          .help = "emulated device memory in MiB",
+          .parse = [](O& o, std::string_view value) {
+            unsigned long long mib = 0;
+            Status status = detail::parse_value(value, mib);
+            if (status.is_ok()) status = within(1, 1 << 24)(mib);
+            if (status.is_ok())
+              o.device.memory_bytes = static_cast<std::size_t>(mib) << 20;
+            return status;
+          },
+          // Sub-MiB devices set programmatically are legitimate (benches
+          // force Algorithm 5 at test scale); only 0 is not.
+          .check = [](const O& o) {
+            return o.device.memory_bytes == 0
+                       ? Status::invalid_argument("device needs nonzero memory")
+                       : Status::ok();
+          },
+          .show = [](const O& o) {
+            return std::to_string(o.device.memory_bytes >> 20);
+          }},
+         // Thread counts spawn real host threads at construction, so an
+         // absurd value must be an error here, not a std::system_error.
+         option<O>("workers", "W", "device worker threads; 0 = every core",
+                   at(&O::device, &simt::DeviceConfig::workers),
+                   within(0, 1024)),
+         option<O>("memory-fraction", "F",
+                   "share of device memory the fits-check may plan for",
+                   at(&O::gosh, &G::device_memory_fraction),
+                   within(0, 1, /*exclude_lo=*/true))}},
+       {"coarsening (Algorithm 4)",
+        {option<O>("coarsening", "BOOL",
+                   "coarsen into a multilevel hierarchy first",
+                   at(&O::gosh, &G::enable_coarsening)),
+         option<O>("coarsening-threshold", "N",
+                   "stop below N vertices per level",
+                   at(&O::gosh, &G::coarsening, &CC::threshold), at_least(2)),
+         option<O>("coarsening-threads", "T",
+                   "1 = sequential Algorithm 4; 0 = every worker",
+                   at(&O::gosh, &G::coarsening, &CC::threads),
+                   within(0, 1024))}},
+       {"partitioned training (Algorithm 5)",
+        {option<O>("pgpu", "P", "P_GPU: sub-matrix slots on the device",
+                   at(&O::gosh, &G::large_graph, &LG::pgpu), at_least(2)),
+         option<O>("sgpu", "S", "S_GPU: sample-pool slots on the device",
+                   at(&O::gosh, &G::large_graph, &LG::sgpu), at_least(1)),
+         option<O>("batch", "B", "B: positives per vertex per sample pool",
+                   at(&O::gosh, &G::large_graph, &LG::batch_B), at_least(1)),
+         option<O>("sampler-threads", "T",
+                   "sample-pool filler threads; 0 = every worker",
+                   at(&O::gosh, &G::large_graph, &LG::sampler_threads),
+                   within(0, 1024))}},
+       {"baseline backends",
+        {option<O>("devices", "N", "multidevice replicas", &O::num_devices,
+                   within(1, 64)),
+         option<O>("sync-interval", "N",
+                   "multidevice passes between averagings", &O::sync_interval,
+                   at_least(1)),
+         option<O>("mile-levels", "N", "mile coarsening levels",
+                   &O::mile_levels, at_least(1)),
+         option<O>("mile-refinement", "N", "mile refinement rounds",
+                   &O::mile_refinement_rounds),
+         option<O>("verse-similarity", "S",
+                   "verse-cpu similarity: ppr|adjacency", &O::verse_similarity,
+                   one_of("ppr|adjacency")),
+         option<O>("verse-lr", "LR", "verse-cpu learning rate",
+                   &O::verse_learning_rate,
+                   within(0, 10, /*exclude_lo=*/true))}}}};
+  return table;
+}
+
 Status Options::set(std::string_view key, std::string_view value) {
-  // Facade-level selection.
-  if (key == "backend") {
-    backend = std::string(trim(value));
-    return backend.empty()
-               ? Status::invalid_argument("backend: empty name")
-               : Status::ok();
-  }
-  if (key == "preset") {
-    preset = std::string(trim(value));
-    return apply_preset(*this);
-  }
-  if (key == "large-scale") {
-    if (Status s = set_scalar(large_scale, key, value, parse_bool); !s.is_ok())
-      return s;
-    return apply_preset(*this);
-  }
-
-  // Training.
-  if (key == "dim")
-    return set_scalar(gosh.train.dim, key, value, parse_unsigned);
-  if (key == "negative-samples")
-    return set_scalar(gosh.train.negative_samples, key, value, parse_unsigned);
-  if (key == "learning-rate")
-    return set_scalar(gosh.train.learning_rate, key, value, parse_real);
-  if (key == "epochs")
-    return set_scalar(gosh.total_epochs, key, value, parse_unsigned);
-  if (key == "seed")
-    return set_scalar(gosh.train.seed, key, value, parse_unsigned);
-  if (key == "smoothing")
-    return set_scalar(gosh.smoothing_ratio, key, value, parse_real);
-  if (key == "edge-epochs")
-    return set_scalar(gosh.edge_epochs, key, value, parse_bool);
-  if (key == "update-rule") {
-    const std::string_view rule = trim(value);
-    if (rule == "simultaneous")
-      gosh.train.update_rule = embedding::UpdateRule::kSimultaneous;
-    else if (rule == "sequential")
-      gosh.train.update_rule = embedding::UpdateRule::kPaperSequential;
-    else
-      return Status::invalid_argument(
-          "update-rule: expected simultaneous|sequential, got " +
-          quoted(rule));
-    return Status::ok();
-  }
-  if (key == "positive-sampling") {
-    const std::string_view mode = trim(value);
-    if (mode == "adjacency")
-      gosh.train.positive_sampling = embedding::PositiveSampling::kAdjacency;
-    else if (mode == "ppr")
-      gosh.train.positive_sampling = embedding::PositiveSampling::kPpr;
-    else
-      return Status::invalid_argument(
-          "positive-sampling: expected adjacency|ppr, got " + quoted(mode));
-    return Status::ok();
-  }
-
-  // Device shape.
-  if (key == "device-mib") {
-    unsigned long long mib = 0;
-    if (Status s = set_scalar(mib, key, value, parse_unsigned); !s.is_ok())
-      return s;
-    if (mib == 0 || mib > (std::size_t{1} << 24))
-      return Status::invalid_argument("device-mib: out of range " +
-                                      quoted(value));
-    device.memory_bytes = static_cast<std::size_t>(mib) << 20;
-    return Status::ok();
-  }
-  if (key == "workers")
-    return set_scalar(device.workers, key, value, parse_unsigned);
-  if (key == "memory-fraction")
-    return set_scalar(gosh.device_memory_fraction, key, value, parse_real);
-
-  // Multi-device.
-  if (key == "devices")
-    return set_scalar(num_devices, key, value, parse_unsigned);
-  if (key == "sync-interval")
-    return set_scalar(sync_interval, key, value, parse_unsigned);
-
-  // MILE baseline.
-  if (key == "mile-levels")
-    return set_scalar(mile_levels, key, value, parse_unsigned);
-  if (key == "mile-refinement")
-    return set_scalar(mile_refinement_rounds, key, value, parse_unsigned);
-
-  // VERSE baseline.
-  if (key == "verse-similarity") {
-    const std::string_view mode = trim(value);
-    if (mode != "ppr" && mode != "adjacency")
-      return Status::invalid_argument(
-          "verse-similarity: expected ppr|adjacency, got " + quoted(mode));
-    verse_similarity = std::string(mode);
-    return Status::ok();
-  }
-  if (key == "verse-lr")
-    return set_scalar(verse_learning_rate, key, value, parse_real);
-
-  // Coarsening.
-  if (key == "coarsening")
-    return set_scalar(gosh.enable_coarsening, key, value, parse_bool);
-  if (key == "coarsening-threshold")
-    return set_scalar(gosh.coarsening.threshold, key, value, parse_unsigned);
-  if (key == "coarsening-threads")
-    return set_scalar(gosh.coarsening.threads, key, value, parse_unsigned);
-
-  // Large-graph engine.
-  if (key == "pgpu")
-    return set_scalar(gosh.large_graph.pgpu, key, value, parse_unsigned);
-  if (key == "sgpu")
-    return set_scalar(gosh.large_graph.sgpu, key, value, parse_unsigned);
-  if (key == "batch")
-    return set_scalar(gosh.large_graph.batch_B, key, value, parse_unsigned);
-  if (key == "sampler-threads")
-    return set_scalar(gosh.large_graph.sampler_threads, key, value,
-                      parse_unsigned);
-
-  // Tool io.
-  if (key == "input") {
-    input_path = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "output") {
-    output_path = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "format") {
-    output_format = std::string(trim(value));
-    return Status::ok();
-  }
-  if (key == "rows-per-shard")
-    return set_scalar(rows_per_shard, key, value, parse_unsigned);
-  if (key == "demo") return set_scalar(demo, key, value, parse_bool);
-  if (key == "eval") return set_scalar(run_eval, key, value, parse_bool);
-  if (key == "verbose") return set_scalar(verbose, key, value, parse_bool);
-  if (key == "trace-out") {
-    trace_out = std::string(trim(value));
-    return Status::ok();
-  }
-
-  return Status::invalid_argument("unknown option " + quoted(key));
+  return table().set(*this, key, value);
 }
 
 Status Options::validate() const {
+  if (Status status = table().check(*this); !status.is_ok()) return status;
   const auto bad = [](std::string message) {
     return Status::invalid_argument(std::move(message));
   };
-  if (backend.empty()) return bad("backend: empty name");
-  if (preset != "fast" && preset != "normal" && preset != "slow" &&
-      preset != "nocoarse")
-    return bad("preset: unknown preset " + quoted(preset));
-  if (gosh.train.dim < 1 || gosh.train.dim > 4096)
-    return bad("dim: must be in [1, 4096]");
-  if (gosh.train.negative_samples < 1 || gosh.train.negative_samples > 64)
-    return bad("negative-samples: must be in [1, 64]");
-  if (!(gosh.train.learning_rate > 0.0f) || gosh.train.learning_rate > 10.0f)
-    return bad("learning-rate: must be in (0, 10]");
-  if (gosh.total_epochs < 1) return bad("epochs: must be >= 1");
-  // p = 0 is meaningful: the fully geometric split (all weight on the
-  // coarse levels) the smoothing ablation sweeps down to.
-  if (gosh.smoothing_ratio < 0.0 || gosh.smoothing_ratio > 1.0)
-    return bad("smoothing: must be in [0, 1]");
-  if (!(gosh.device_memory_fraction > 0.0) ||
-      gosh.device_memory_fraction > 1.0)
-    return bad("memory-fraction: must be in (0, 1]");
   if (!(gosh.train.ppr_alpha > 0.0f) || !(gosh.train.ppr_alpha < 1.0f))
     return bad("ppr-alpha: must be in (0, 1)");
-  // No lower bound beyond non-zero: benches deliberately shrink the device
-  // to a few hundred KiB to force the Algorithm 5 path at test scale.
-  if (device.memory_bytes == 0)
-    return bad("device-mib: device needs nonzero memory");
-  // Thread-count caps: these spawn real host threads at construction, so
-  // an absurd value must be an error here, not a std::system_error later.
-  if (device.workers > 1024) return bad("workers: must be <= 1024");
-  if (gosh.coarsening.threads > 1024)
-    return bad("coarsening-threads: must be <= 1024");
-  if (gosh.large_graph.sampler_threads > 1024)
-    return bad("sampler-threads: must be <= 1024");
-  if (num_devices < 1 || num_devices > 64)
-    return bad("devices: must be in [1, 64]");
-  if (sync_interval < 1) return bad("sync-interval: must be >= 1");
-  if (mile_levels < 1) return bad("mile-levels: must be >= 1");
-  if (verse_similarity != "ppr" && verse_similarity != "adjacency")
-    return bad("verse-similarity: expected ppr|adjacency, got " +
-               quoted(verse_similarity));
-  if (!(verse_learning_rate > 0.0f) || verse_learning_rate > 10.0f)
-    return bad("verse-lr: must be in (0, 10]");
-  if (gosh.coarsening.threshold < 2)
-    return bad("coarsening-threshold: must be >= 2");
   if (gosh.coarsening.max_levels < 1)
     return bad("coarsening max_levels: must be >= 1");
-  if (gosh.large_graph.pgpu < 2)
-    return bad("pgpu: the rotation needs at least 2 sub-matrix slots");
-  if (gosh.large_graph.sgpu < 1) return bad("sgpu: must be >= 1");
-  if (gosh.large_graph.batch_B < 1) return bad("batch: must be >= 1");
-  if (output_format != "binary" && output_format != "text" &&
-      output_format != "store")
-    return bad("format: expected binary|text|store, got " +
-               quoted(output_format));
   if (rows_per_shard != 0 && output_format != "store")
     return bad("rows-per-shard: only meaningful with --format store");
   return Status::ok();
 }
 
 Result<Options> Options::from_args(int argc, char** argv) {
-  Options options;
-  std::vector<KeyValue> pairs;
-  std::string options_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.show_help = true;
-      return options;  // caller prints usage; nothing else matters
-    }
-    if (!arg.starts_with("--"))
-      return Status::invalid_argument("stray argument " + quoted(arg) +
-                                      " (flags start with --)");
-    const std::string_view key = arg.substr(2);
-    if (key == "demo" || key == "eval" || key == "large-scale" ||
-        key == "verbose") {
-      pairs.emplace_back(std::string(key), "true");
-      continue;
-    }
-    if (i + 1 >= argc)
-      return Status::invalid_argument("flag " + quoted(arg) +
-                                      " expects a value");
-    const std::string_view value = argv[++i];
-    if (key == "options") {
-      options_file = std::string(value);
-      continue;
-    }
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-
-  // Merge file pairs BEFORE the CLI pairs into one list, so a CLI
-  // --preset/--large-scale is still applied before the file's explicit
-  // knobs — "flags override the file" holds even against preset resets.
-  if (!options_file.empty()) {
-    std::vector<KeyValue> merged;
-    if (Status status = read_options_file(options_file, merged);
-        !status.is_ok())
-      return status;
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
-    pairs = std::move(merged);
-  }
-  if (Status status = apply_pairs(options, pairs); !status.is_ok())
-    return status;
-  if (Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_args(argc, argv);
 }
 
 Result<Options> Options::from_file(const std::string& path) {
@@ -490,15 +266,7 @@ Result<Options> Options::from_file(const std::string& path) {
 
 Result<Options> Options::from_file(const std::string& path,
                                    const Options& base) {
-  std::vector<KeyValue> pairs;
-  if (Status status = read_options_file(path, pairs); !status.is_ok())
-    return status;
-
-  Options options = base;
-  if (Status status = apply_pairs(options, pairs); !status.is_ok())
-    return status;
-  if (Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_file(path, base);
 }
 
 }  // namespace gosh::api

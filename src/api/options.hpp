@@ -1,19 +1,13 @@
 // Options — the facade's one configuration struct.
 //
 // Subsumes the per-engine configs (GoshConfig, TrainConfig,
-// CoarseningConfig, LargeGraphConfig, DeviceConfig) by composition, adds
-// the facade-level knobs (backend, preset, io paths), and owns all three
-// ways of populating them:
-//   * programmatic — mutate the nested structs directly;
-//   * command line  — Options::from_args(argc, argv), strict parsing
-//     (no atol: `--dim abc` and `--seed -3` are rejected with a Status);
-//   * config file   — Options::from_file(path), one key=value per line,
-//     '#' comments; the keys are the CLI flag names without the "--".
-// `--options FILE` on the command line loads the file first and lets the
-// remaining flags override it.
-//
-// `preset` / `large-scale` are applied before every other key regardless of
-// where they appear, so flag order never changes the result.
+// CoarseningConfig, LargeGraphConfig, DeviceConfig) by composition and adds
+// the facade-level knobs (backend, preset, io paths). Populate it
+// programmatically (mutate the nested structs), from a command line
+// (Options::from_args, strict: `--dim abc` and `--seed -3` are Statuses)
+// or from a key=value file (Options::from_file). Every key is one row of
+// Options::table(), which the shared engine in option_table.hpp turns
+// into all three paths and gosh_embed's --help.
 #pragma once
 
 #include <cstdint>
@@ -21,24 +15,12 @@
 #include <string_view>
 #include <vector>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/embedding/gosh.hpp"
 #include "gosh/simt/device.hpp"
 
 namespace gosh::api {
-
-// ---- Strict scalar parsing (shared by from_args/from_file and reusable
-// ---- by tools that keep bespoke flags, e.g. the bench harnesses). -------
-
-/// Whole-string signed integer; rejects trailing junk, overflow, empty.
-Result<long long> parse_integer(std::string_view text);
-/// Whole-string non-negative integer; additionally rejects a leading '-'
-/// (so "-3" cannot wrap through an unsigned cast).
-Result<unsigned long long> parse_unsigned(std::string_view text);
-/// Whole-string finite double.
-Result<double> parse_real(std::string_view text);
-/// "true"/"false"/"1"/"0" (case-sensitive).
-Result<bool> parse_bool(std::string_view text);
 
 // ---- Strict "--name value" argv lookups, for drivers that keep bespoke
 // ---- flags alongside (or instead of) Options::from_args — the bench
@@ -52,13 +34,6 @@ bool flag_present(int argc, char** argv, std::string_view name);
 std::vector<std::string> flag_list(int argc, char** argv,
                                    std::string_view name,
                                    std::vector<std::string> fallback);
-
-/// Ordered key=value pairs of an options file ('#' comments and blank
-/// lines ignored; line-numbered kInvalidArgument on malformed lines).
-/// Shared by Options::from_file and serving::ServeOptions::from_file so
-/// both facades parse the identical dialect.
-using KeyValuePairs = std::vector<std::pair<std::string, std::string>>;
-Status read_options_file(const std::string& path, KeyValuePairs& pairs);
 
 struct Options {
   // ---- Facade-level selection. ------------------------------------------
@@ -109,16 +84,19 @@ struct Options {
   embedding::TrainConfig& train() noexcept { return gosh.train; }
   const embedding::TrainConfig& train() const noexcept { return gosh.train; }
 
+  /// Every key's row: parser, range rule and help line.
+  static const OptionTable<Options>& table();
+
   /// Range/consistency checks over every field; first violation wins.
   Status validate() const;
 
   /// Applies one key=value knob (the CLI flag name without "--").
-  /// Unknown keys and unparsable values return kInvalidArgument.
+  /// Unknown keys, unparsable and out-of-range values return
+  /// kInvalidArgument.
   Status set(std::string_view key, std::string_view value);
 
-  /// Parses a full command line. Boolean flags (--demo, --eval,
-  /// --large-scale, --help) take no value; everything else requires one.
-  /// The result has already passed validate().
+  /// Parses a full command line (the dialect in option_table.hpp). The
+  /// result has already passed validate().
   static Result<Options> from_args(int argc, char** argv);
 
   /// Parses a key=value file ('#' comments, blank lines ignored) on top of

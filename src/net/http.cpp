@@ -48,7 +48,9 @@ api::Status parse_header_lines(std::string_view head, std::size_t first_line_end
     Header header;
     header.name = std::string(trim(line.substr(0, colon)));
     header.value = std::string(trim(line.substr(colon + 1)));
-    if (header.name.find(' ') != std::string::npos ||
+    // A name that trims to nothing ("\r: v") would serialize as ": v",
+    // which no parser accepts back.
+    if (header.name.empty() || header.name.find(' ') != std::string::npos ||
         header.name.find('\t') != std::string::npos) {
       return api::Status::invalid_argument("http: malformed header name");
     }

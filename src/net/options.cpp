@@ -2,186 +2,105 @@
 
 #include <utility>
 
-#include "gosh/api/options.hpp"
-
 namespace gosh::net {
-namespace {
 
-std::string quoted(std::string_view text) {
-  std::string out = "'";
-  out += text;
-  out += "'";
-  return out;
+const api::OptionTable<NetOptions>& NetOptions::table() {
+  using api::at;
+  using api::at_least;
+  using api::flag;
+  using api::option;
+  using api::within;
+  using N = NetOptions;
+  static const api::OptionTable<N> table{
+      "usage: gosh_serve --store PATH [--port P] [flags]\n",
+      "serving option",
+      api::nested_groups<N>(
+          serving::ServeOptions::table(), &N::serve, "threads",
+          {{"network",
+            {option<N>("host", "H", "bind address; 0.0.0.0 opens the network",
+                       &N::host, api::nonempty("empty address")),
+             option<N>("port", "P", "TCP port; 0 = ephemeral", &N::port,
+                       within(0, 65535)),
+             option<N>("threads", "T", "connection worker pool", &N::threads,
+                       within(1, 1024)),
+             option<N>("scan-threads", "T",
+                       "scan parallelism (gosh_query's --threads)",
+                       at(&N::serve, &serving::ServeOptions::threads)),
+             option<N>("max-body", "N",
+                       "request body cap in bytes (413 beyond)", &N::max_body,
+                       within(1, 1 << 30)),
+             option<N>("max-header", "N",
+                       "request head cap in bytes (431 beyond)", &N::max_header,
+                       within(64, 1 << 24)),
+             option<N>("read-timeout-ms", "MS",
+                       "per-read deadline (408 beyond)", &N::read_timeout_ms,
+                       within(1, 600000)),
+             option<N>("keepalive-requests", "N",
+                       "requests per connection; 0 = unlimited",
+                       &N::keepalive_requests),
+             option<N>("rate-qps", "Q", "global admission rate; 0 = off",
+                       &N::rate_qps, at_least(0)),
+             option<N>("burst", "B", "global bucket depth; 0 = max(Q, 1)",
+                       &N::burst, at_least(0)),
+             option<N>("conn-rate-qps", "Q",
+                       "per-connection admission rate; 0 = off",
+                       &N::conn_rate_qps, at_least(0)),
+             option<N>("conn-burst", "B",
+                       "per-connection bucket depth; 0 = max(Q, 1)",
+                       &N::conn_burst, at_least(0)),
+             option<N>("port-file", "PATH",
+                       "write the bound port here after listen", &N::port_file),
+             flag<N>("allow-remote-shutdown", "register POST /admin/shutdown",
+                     &N::allow_remote_shutdown)}},
+           {"chaos (seeded fault injection on queries)",
+            {option<N>("chaos-drop-rate", "R",
+                       "share dropped without an answer", &N::chaos_drop_rate,
+                       within(0, 1)),
+             option<N>("chaos-500-rate", "R",
+                       "share answered with a synthetic 500",
+                       &N::chaos_500_rate, within(0, 1)),
+             option<N>("chaos-stall", "R", "share held open and never answered",
+                       &N::chaos_stall, within(0, 1)),
+             option<N>("chaos-delay-ms", "MS",
+                       "delay added to every surviving query",
+                       &N::chaos_delay_ms),
+             option<N>("chaos-seed", "S", "fault-draw seed", &N::chaos_seed)}},
+           {"observability",
+            {option<N>("trace-sample-rate", "R", "share of requests traced",
+                       &N::trace_sample_rate, within(0, 1)),
+             option<N>("trace-slow-ms", "MS",
+                       "trace and log requests slower than MS; 0 = off",
+                       &N::trace_slow_ms, at_least(0)),
+             option<N>("trace-out", "PATH",
+                       "write traces as Chrome JSON at shutdown (alone: trace "
+                       "all)",
+                       &N::trace_out),
+             flag<N>("access-log", "one structured log line per response",
+                     &N::access_log)}}})};
+  return table;
 }
-
-template <typename T>
-api::Status set_unsigned(T& field, std::string_view key,
-                         std::string_view value) {
-  auto parsed = api::parse_unsigned(value);
-  if (!parsed.ok()) {
-    return api::Status::invalid_argument(std::string(key) + ": " +
-                                         parsed.status().message());
-  }
-  if (!std::in_range<T>(parsed.value())) {
-    return api::Status::invalid_argument(std::string(key) +
-                                         ": value out of range " +
-                                         quoted(value));
-  }
-  field = static_cast<T>(parsed.value());
-  return api::Status::ok();
-}
-
-api::Status set_rate(double& field, std::string_view key,
-                     std::string_view value) {
-  auto parsed = api::parse_real(value);
-  if (!parsed.ok()) {
-    return api::Status::invalid_argument(std::string(key) + ": " +
-                                         parsed.status().message());
-  }
-  if (parsed.value() < 0.0) {
-    return api::Status::invalid_argument(std::string(key) +
-                                         ": must be >= 0, got " +
-                                         quoted(value));
-  }
-  field = parsed.value();
-  return api::Status::ok();
-}
-
-}  // namespace
 
 api::Status NetOptions::set(std::string_view key, std::string_view value) {
-  if (key == "host") {
-    host = std::string(value);
-    return host.empty() ? api::Status::invalid_argument("host: empty address")
-                        : api::Status::ok();
-  }
-  if (key == "port") return set_unsigned(port, key, value);
-  if (key == "threads") return set_unsigned(threads, key, value);
-  if (key == "max-body") return set_unsigned(max_body, key, value);
-  if (key == "max-header") return set_unsigned(max_header, key, value);
-  if (key == "read-timeout-ms")
-    return set_unsigned(read_timeout_ms, key, value);
-  if (key == "keepalive-requests")
-    return set_unsigned(keepalive_requests, key, value);
-  if (key == "rate-qps") return set_rate(rate_qps, key, value);
-  if (key == "burst") return set_rate(burst, key, value);
-  if (key == "conn-rate-qps") return set_rate(conn_rate_qps, key, value);
-  if (key == "conn-burst") return set_rate(conn_burst, key, value);
-  if (key == "trace-sample-rate")
-    return set_rate(trace_sample_rate, key, value);
-  if (key == "trace-slow-ms") return set_rate(trace_slow_ms, key, value);
-  if (key == "trace-out") {
-    trace_out = std::string(value);
-    return api::Status::ok();
-  }
-  if (key == "access-log") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("access-log: " +
-                                           parsed.status().message());
-    access_log = parsed.value();
-    return api::Status::ok();
-  }
-  if (key == "chaos-drop-rate") return set_rate(chaos_drop_rate, key, value);
-  if (key == "chaos-500-rate") return set_rate(chaos_500_rate, key, value);
-  if (key == "chaos-stall") return set_rate(chaos_stall, key, value);
-  if (key == "chaos-delay-ms") return set_unsigned(chaos_delay_ms, key, value);
-  if (key == "chaos-seed") return set_unsigned(chaos_seed, key, value);
-  if (key == "port-file") {
-    port_file = std::string(value);
-    return api::Status::ok();
-  }
-  if (key == "allow-remote-shutdown") {
-    auto parsed = api::parse_bool(value);
-    if (!parsed.ok())
-      return api::Status::invalid_argument("allow-remote-shutdown: " +
-                                           parsed.status().message());
-    allow_remote_shutdown = parsed.value();
-    return api::Status::ok();
-  }
-  // The ServeOptions field NetOptions shadows: its "threads" is scan
-  // parallelism, reachable on this surface as scan-threads.
-  if (key == "scan-threads") return serve.set("threads", value);
-  return serve.set(key, value);
+  return table().set(*this, key, value);
 }
 
 api::Status NetOptions::validate() const {
+  if (api::Status status = table().check(*this); !status.is_ok())
+    return status;
   const auto bad = [](std::string message) {
     return api::Status::invalid_argument(std::move(message));
   };
-  if (host.empty()) return bad("host: empty address");
-  if (port > 65535) return bad("port: must be in [0, 65535]");
-  if (threads < 1 || threads > 1024)
-    return bad("threads: must be in [1, 1024]");
-  if (max_body < 1 || max_body > (std::uint64_t{1} << 30))
-    return bad("max-body: must be in [1, 2^30]");
-  if (max_header < 64 || max_header > (1 << 24))
-    return bad("max-header: must be in [64, 2^24]");
-  if (read_timeout_ms < 1 || read_timeout_ms > 600000)
-    return bad("read-timeout-ms: must be in [1, 600000]");
   if (burst > 0.0 && rate_qps <= 0.0)
     return bad("burst: needs rate-qps > 0");
   if (conn_burst > 0.0 && conn_rate_qps <= 0.0)
     return bad("conn-burst: needs conn-rate-qps > 0");
-  if (trace_sample_rate > 1.0)
-    return bad("trace-sample-rate: must be in [0, 1]");
-  if (chaos_drop_rate > 1.0 || chaos_500_rate > 1.0 || chaos_stall > 1.0)
-    return bad("chaos rates: must be in [0, 1]");
   if (chaos_drop_rate + chaos_500_rate + chaos_stall > 1.0)
     return bad("chaos rates: drop + 500 + stall must not exceed 1");
   return serve.validate();
 }
 
 api::Result<NetOptions> NetOptions::from_args(int argc, char** argv) {
-  NetOptions options;
-  api::KeyValuePairs pairs;
-  std::string options_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.show_help = true;
-      return options;  // caller prints usage; nothing else matters
-    }
-    if (!arg.starts_with("--"))
-      return api::Status::invalid_argument("stray argument " + quoted(arg) +
-                                           " (flags start with --)");
-    const std::string_view key = arg.substr(2);
-    if (key == "allow-remote-shutdown" || key == "access-log" ||
-        key == "cache") {
-      pairs.emplace_back(std::string(key), "true");
-      continue;
-    }
-    if (key == "no-verify") {
-      pairs.emplace_back("verify", "false");
-      continue;
-    }
-    if (i + 1 >= argc)
-      return api::Status::invalid_argument("flag " + quoted(arg) +
-                                           " expects a value");
-    const std::string_view value = argv[++i];
-    if (key == "options") {
-      options_file = std::string(value);
-      continue;
-    }
-    pairs.emplace_back(std::string(key), std::string(value));
-  }
-
-  // File pairs apply before the CLI pairs: flags override the file.
-  if (!options_file.empty()) {
-    api::KeyValuePairs merged;
-    if (api::Status status = api::read_options_file(options_file, merged);
-        !status.is_ok())
-      return status;
-    merged.insert(merged.end(), pairs.begin(), pairs.end());
-    pairs = std::move(merged);
-  }
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_args(argc, argv);
 }
 
 api::Result<NetOptions> NetOptions::from_file(const std::string& path) {
@@ -190,16 +109,7 @@ api::Result<NetOptions> NetOptions::from_file(const std::string& path) {
 
 api::Result<NetOptions> NetOptions::from_file(const std::string& path,
                                               const NetOptions& base) {
-  api::KeyValuePairs pairs;
-  if (api::Status status = api::read_options_file(path, pairs); !status.is_ok())
-    return status;
-  NetOptions options = base;
-  for (const auto& [key, value] : pairs) {
-    if (api::Status status = options.set(key, value); !status.is_ok())
-      return status;
-  }
-  if (api::Status status = options.validate(); !status.is_ok()) return status;
-  return options;
+  return table().from_file(path, base);
 }
 
 }  // namespace gosh::net

@@ -2,13 +2,11 @@
 //
 // gosh_serve is gosh_query with a wire in front: everything below the
 // socket (store, index, strategy, k/ef/metric defaults) is the embedded
-// `serve` ServeOptions, shared verbatim with gosh_query so the two tools
-// parse the same flags the same way; the fields here are only what the
+// `serve` ServeOptions, and NetOptions::table() holds ServeOptions' rows
+// re-rooted at `serve` next to its own, so a serving key parses the same
+// way in both tools by construction. The fields here are only what the
 // network layer adds (bind address, worker pool, body/header limits,
-// admission control, timeouts). Same three population paths as every
-// options struct in the tree: programmatic, from_args (strict), from_file
-// (key=value lines, '#' comments), with `--options FILE` loading first
-// and flags overriding.
+// admission control, timeouts, chaos, tracing).
 //
 // One deliberate rename: "--threads" here is the CONNECTION WORKER POOL
 // (the front-end's concurrency), and the scan parallelism ServeOptions
@@ -20,6 +18,7 @@
 #include <string>
 #include <string_view>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/serving/options.hpp"
 
@@ -91,18 +90,18 @@ struct NetOptions {
   /// threads field).
   serving::ServeOptions serve;
 
+  /// Every key's row: ServeOptions' rows except its threads, then the
+  /// network rows.
+  static const api::OptionTable<NetOptions>& table();
+
   /// Range checks over the net fields, then serve.validate().
   api::Status validate() const;
 
-  /// Applies one key=value knob. Net keys are matched first; anything else
-  /// is delegated to serve.set(), so every ServeOptions key works here.
+  /// Applies one key=value knob; every ServeOptions key works here too.
   api::Status set(std::string_view key, std::string_view value);
 
-  /// Strict command-line parse, gosh_embed/gosh_query conventions:
-  /// boolean flags (--allow-remote-shutdown, --access-log, --no-verify)
-  /// take no value,
-  /// "--options FILE" loads the file first, flags override, result has
-  /// already passed validate().
+  /// Parses a full command line (the dialect in api/option_table.hpp).
+  /// The result has already passed validate().
   static api::Result<NetOptions> from_args(int argc, char** argv);
 
   /// key=value file parse ('#' comments) on top of `base` (defaults when

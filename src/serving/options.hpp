@@ -1,22 +1,20 @@
 // ServeOptions — the serving twin of api::Options.
 //
 // Subsumes the scattered per-component knobs (QueryEngineOptions, the
-// HNSW build/search parameters, OpenOptions) plus
-// the service-level selection (strategy key, default k, multi-vector
-// aggregate, id-range filter) and the gosh_query tool modes, with the same
-// three population paths as the training facade:
-//   * programmatic — mutate the fields directly;
-//   * command line  — ServeOptions::from_args(argc, argv), strict parsing;
-//   * config file   — ServeOptions::from_file(path), key=value lines,
-//     '#' comments; keys are the CLI flag names without the "--".
-// `--options FILE` loads the file first and lets the remaining flags
-// override it, exactly like gosh_embed.
+// HNSW build/search parameters, OpenOptions) plus the service-level
+// selection (strategy key, default k, multi-vector aggregate, id-range
+// filter) and the gosh_query tool modes. Like api::Options it is filled
+// programmatically, from_args (strict) or from_file (key=value lines),
+// and every key is one row of ServeOptions::table(), parsed by the shared
+// engine in api/option_table.hpp — which is also how gosh_serve's
+// NetOptions takes every one of these keys unchanged.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
 #include "gosh/query/engine.hpp"
@@ -125,16 +123,19 @@ struct ServeOptions {
   /// range is unset.
   query::RowFilter row_filter() const;
 
+  /// Every key's row: parser, range rule and help line.
+  static const api::OptionTable<ServeOptions>& table();
+
   /// Range/consistency checks over every field; first violation wins.
   api::Status validate() const;
 
   /// Applies one key=value knob (the CLI flag name without "--").
-  /// Unknown keys and unparsable values return kInvalidArgument.
+  /// Unknown keys, unparsable and out-of-range values return
+  /// kInvalidArgument.
   api::Status set(std::string_view key, std::string_view value);
 
-  /// Parses a full command line. Boolean flags (--build-index,
-  /// --no-verify, --metrics, --help) take no value; everything else
-  /// requires one. The result has already passed validate().
+  /// Parses a full command line (the dialect in api/option_table.hpp).
+  /// The result has already passed validate().
   static api::Result<ServeOptions> from_args(int argc, char** argv);
 
   /// Parses a key=value file ('#' comments, blank lines ignored) on top of

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gosh/net/options.hpp"
@@ -74,6 +75,30 @@ TEST(NetOptions, FromArgsParsesBooleansWithoutValues) {
   EXPECT_TRUE(parsed.value().allow_remote_shutdown);
   EXPECT_FALSE(parsed.value().serve.verify_checksums);
   EXPECT_DOUBLE_EQ(parsed.value().rate_qps, 100.0);
+}
+
+TEST(NetOptions, ServingBareFlagsTakeNoValue) {
+  // The serving bare flags are bare on gosh_serve too: each parses with no
+  // value and leaves the following flag to parse as itself.
+  auto parsed = parse({"--store", "s", "--require-all-shards", "--port", "0"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_TRUE(parsed.value().serve.require_all_shards);
+  EXPECT_EQ(parsed.value().port, 0u);
+
+  using Check = bool (*)(const NetOptions&);
+  const std::pair<const char*, Check> kFlags[] = {
+      {"--build-index", [](const NetOptions& o) { return o.serve.build_index; }},
+      {"--metrics", [](const NetOptions& o) { return o.serve.dump_metrics; }},
+      {"--cache", [](const NetOptions& o) { return o.serve.cache_enabled; }},
+      {"--no-verify",
+       [](const NetOptions& o) { return !o.serve.verify_checksums; }},
+  };
+  for (const auto& [flag, is_set] : kFlags) {
+    auto bare = parse({"--store", "s", flag, "--port", "0"});
+    ASSERT_TRUE(bare.ok()) << flag << ": " << bare.status().to_string();
+    EXPECT_TRUE(is_set(bare.value())) << flag;
+    EXPECT_EQ(bare.value().port, 0u) << flag;
+  }
 }
 
 TEST(NetOptions, FromArgsRejectsWhatValidateRejects) {

@@ -9,25 +9,8 @@
 // train split and is reused for both the link-prediction metric and the
 // written output (the output then covers the train split's compacted ids).
 //
-// Options (also accepted as key=value lines in an --options file):
-//   --input PATH        edge-list file (required unless --demo)
-//   --demo              use a generated LFR demo graph instead of a file
-//   --output PATH       embedding output (default: embedding.bin)
-//   --format text|binary|store  output format (default: binary; "store"
-//                       writes the mmap-served GSHS layout gosh_query reads)
-//   --backend NAME      auto|device|largegraph|multidevice|verse-cpu|
-//                       line-device|mile (default: auto)
-//   --preset fast|normal|slow|nocoarse   Table 3 preset (default: normal)
-//   --dim D             embedding dimension (default: 128)
-//   --epochs E          override the preset's epoch budget
-//   --device-mib M      emulated device memory (default: 512)
-//   --seed S            RNG seed (default: 42)
-//   --options FILE      load key=value options; flags override the file
-//   --eval              run the 80/20 link-prediction evaluation
-//   --verbose           narrate per-level progress
-//   --trace-out PATH    profile the run (per-level spans; rotation /
-//                       pool-wait / pair-kernel phases on the partitioned
-//                       path) and dump Chrome trace_event JSON to PATH
+// `gosh_embed --help` lists every flag, grouped, with its default; each
+// is also a key=value line of an --options file.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -36,17 +19,6 @@
 #include "gosh/trace/trace.hpp"
 
 namespace {
-
-void usage() {
-  std::puts(
-      "usage: gosh_embed --input edges.txt [--output emb.bin]\n"
-      "                  [--format text|binary|store] [--rows-per-shard N]\n"
-      "                  [--backend NAME]\n"
-      "                  [--preset fast|normal|slow|nocoarse]\n"
-      "                  [--dim D] [--epochs E] [--device-mib M] [--seed S]\n"
-      "                  [--options FILE] [--eval] [--verbose]\n"
-      "                  [--trace-out trace.json] | --demo");
-}
 
 /// Forwards every progress event to the wrapped observer (may be null)
 /// and records one "level-N" span per coarsening level into the current
@@ -100,20 +72,18 @@ int fail(const gosh::api::Status& status) {
 int main(int argc, char** argv) {
   using namespace gosh;
 
+  const api::OptionTable<api::Options>& table = api::Options::table();
   auto parsed = api::Options::from_args(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.status().to_string().c_str());
-    usage();
-    return 1;
-  }
+  if (!parsed.ok()) return api::usage_error(parsed.status(), table);
   api::Options options = std::move(parsed).value();
   if (options.show_help) {
-    usage();
+    std::fputs(table.help().c_str(), stdout);
     return 0;
   }
   if (options.input_path.empty() && !options.demo) {
-    usage();
-    return 1;
+    return api::usage_error(
+        api::Status::invalid_argument("--input or --demo is required"),
+        table);
   }
   if (options.verbose) set_log_level(LogLevel::Info);
 

@@ -15,32 +15,10 @@
 // answer); several segments = ONE multi-vector query whose candidate
 // scores combine under --aggregate (max|mean).
 //
-// Modes (exactly one):
-//   --build-index       build the HNSW index and write it beside the store
-//   --queries FILE|-    answer top-k for each input line (a FILE is served
-//                       as one batched request; stdin streams per line)
-//   --eval N            recall@k of --strategy vs the exact scan on N
-//                       sampled rows, plus q/s and p50/p99 latency
-// Strategy & request shape:
-//   --strategy S        exact|hnsw|router|auto (default auto = hnsw when
-//                       the index file exists, else exact; batched is an
-//                       alias of auto)
-//   --k K               neighbors per query (default 10)
-//   --metric M          cosine|dot|l2 (default cosine)
-//   --aggregate A       multi-vector combine rule: max|mean (default max)
-//   --filter LO:HI      only ids in [LO, HI) may appear in answers
-//   --batch B           most queries one shared exact pass answers
-//   --ef EF             HNSW search beam width (default 64)
-//   --threads T         scan parallelism (default: all workers)
-//   --block-rows N      rows per scan block (default 2048)
-// Build / files / io:
-//   --index PATH        index file (default: STORE.hnsw)
-//   --M / --ef-construction   HNSW build shape (default 16 / 200)
-//   --seed S            build + --eval sampling seed (default 42)
-//   --recall-floor F    exit nonzero if --eval recall@k < F (CI hook)
-//   --no-verify         skip the store checksum pass at open
-//   --options FILE      key=value ServeOptions file; flags override it
-//   --metrics           dump the MetricsRegistry text exposition at exit
+// Modes (exactly one): --build-index, --queries FILE|-, --eval N.
+// `gosh_query --help` lists every flag, grouped, with its default; each
+// is also a key=value line of an --options file. The serving flags are
+// the ones gosh_serve takes.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -56,21 +34,6 @@
 namespace {
 
 using namespace gosh;
-
-void usage() {
-  std::printf(
-      "usage: gosh_query --store PATH (--build-index | --queries FILE|- |\n"
-      "                  --eval N) [serving flags] [tool flags]\n"
-      "serving flags (shared with gosh_serve):\n"
-      "%s"
-      "tool flags:\n"
-      "  --threads T            scan parallelism (default: all workers)\n"
-      "  --M M / --ef-construction EC   HNSW build shape (default 16 / 200)\n"
-      "  --seed S               build + --eval sampling seed (default 42)\n"
-      "  --recall-floor F       exit nonzero if --eval recall@k < F\n"
-      "  --metrics              dump the metrics exposition at exit\n",
-      api::serve_flags_usage());
-}
 
 int fail(const api::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
@@ -325,15 +288,13 @@ int run_eval(serving::QueryService& candidate,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const api::OptionTable<serving::ServeOptions>& table =
+      serving::ServeOptions::table();
   auto parsed = serving::ServeOptions::from_args(argc, argv);
-  if (!parsed.ok()) {
-    fail(parsed.status());
-    usage();
-    return 1;
-  }
+  if (!parsed.ok()) return api::usage_error(parsed.status(), table);
   serving::ServeOptions options = std::move(parsed).value();
   if (options.show_help) {
-    usage();
+    std::fputs(table.help().c_str(), stdout);
     return 0;
   }
 
@@ -341,11 +302,10 @@ int main(int argc, char** argv) {
                     (options.queries_path.empty() ? 0 : 1) +
                     (options.eval_samples > 0 ? 1 : 0);
   if (modes != 1) {
-    std::fprintf(stderr,
-                 "error: pick exactly one of --build-index, --queries, "
-                 "--eval\n");
-    usage();
-    return 1;
+    return api::usage_error(
+        api::Status::invalid_argument(
+            "pick exactly one of --build-index, --queries, --eval"),
+        table);
   }
 
   if (options.build_index) {

@@ -17,29 +17,11 @@
 //   GET  /debug/traces    Chrome trace_event JSON (tracing on; exempt)
 //   POST /admin/shutdown  graceful stop; only with --allow-remote-shutdown
 //
-// Network flags (everything ServeOptions speaks also works — the shared
-// flag block below is printed by --help):
-//   --host H               bind address (default 127.0.0.1)
-//   --port P               TCP port; 0 = ephemeral (default 8080)
-//   --threads T            connection worker pool (default 4)
-//   --scan-threads T       scan parallelism (ServeOptions "threads")
-//   --max-body N           request body cap in bytes -> 413 (default 1 MiB)
-//   --max-header N         request head cap in bytes -> 431 (default 16 KiB)
-//   --read-timeout-ms MS   per-read deadline -> 408 (default 5000)
-//   --keepalive-requests N requests per connection, 0=unlimited
-//   --rate-qps Q           global admission rate; 0 = off
-//   --burst B              global bucket depth (default max(Q, 1))
-//   --conn-rate-qps Q      per-connection admission rate; 0 = off
-//   --conn-burst B         per-connection bucket depth
-//   --port-file PATH       write the bound port (temp+rename) after listen
-//   --allow-remote-shutdown   register POST /admin/shutdown
-//
-// Observability flags (gosh::trace):
-//   --trace-sample-rate R  fraction of requests traced, [0, 1]
-//   --trace-slow-ms MS     always trace + warn-log requests slower than MS
-//   --trace-out PATH       dump the trace ring as Chrome JSON on shutdown
-//                          (alone it implies --trace-sample-rate 1)
-//   --access-log           one structured log line per response
+// `gosh_serve --help` lists every flag, grouped, with its default: the
+// serving flags gosh_query takes (scan parallelism is --scan-threads here,
+// since --threads sizes the connection pool), then the network, chaos and
+// observability flags. Each is also a key=value line of an --options file.
+// --trace-out alone implies --trace-sample-rate 1.
 //
 // Shutdown: SIGINT/SIGTERM (and the admin endpoint) write one byte to a
 // self-pipe the main thread blocks on; main — never a connection worker —
@@ -73,39 +55,6 @@ void request_stop() {
 
 void on_signal(int) { request_stop(); }
 
-void usage() {
-  std::printf(
-      "usage: gosh_serve --store PATH [serving flags] [network flags]\n"
-      "serving flags (shared with gosh_query; scan parallelism is\n"
-      "--scan-threads here):\n"
-      "%s"
-      "network flags:\n"
-      "  --host H               bind address (default 127.0.0.1)\n"
-      "  --port P               TCP port; 0 = ephemeral (default 8080)\n"
-      "  --threads T            connection worker pool (default 4)\n"
-      "  --max-body N           request body cap in bytes (default 1 MiB)\n"
-      "  --max-header N         request head cap in bytes (default 16 KiB)\n"
-      "  --read-timeout-ms MS   per-read deadline (default 5000)\n"
-      "  --keepalive-requests N per-connection request cap (0 = unlimited)\n"
-      "  --rate-qps Q / --burst B             global admission bucket\n"
-      "  --conn-rate-qps Q / --conn-burst B   per-connection bucket\n"
-      "  --port-file PATH       write the bound port after listen\n"
-      "  --allow-remote-shutdown  register POST /admin/shutdown\n"
-      "chaos flags (deterministic fault injection, off by default):\n"
-      "  --chaos-drop-rate R    drop this fraction of requests cold\n"
-      "  --chaos-500-rate R     answer this fraction with a synthetic 500\n"
-      "  --chaos-stall R        stall this fraction until the peer gives up\n"
-      "  --chaos-delay-ms MS    delay every surviving request by MS\n"
-      "  --chaos-seed S         fault-draw RNG seed (default 42)\n"
-      "observability flags:\n"
-      "  --trace-sample-rate R  fraction of requests traced, in [0, 1]\n"
-      "  --trace-slow-ms MS     always trace + log requests slower than MS\n"
-      "  --trace-out PATH       dump traces as Chrome JSON on shutdown\n"
-      "                         (alone it implies --trace-sample-rate 1)\n"
-      "  --access-log           one structured log line per response\n",
-      api::serve_flags_usage());
-}
-
 int fail(const api::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
   return 1;
@@ -134,15 +83,12 @@ api::Status write_port_file(const std::string& path, unsigned short port) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const api::OptionTable<net::NetOptions>& table = net::NetOptions::table();
   auto parsed = net::NetOptions::from_args(argc, argv);
-  if (!parsed.ok()) {
-    fail(parsed.status());
-    usage();
-    return 1;
-  }
+  if (!parsed.ok()) return api::usage_error(parsed.status(), table);
   net::NetOptions options = std::move(parsed).value();
   if (options.show_help) {
-    usage();
+    std::fputs(table.help().c_str(), stdout);
     return 0;
   }
   // --trace-out with no sampling knob would dump an empty ring; alone it
