@@ -1,8 +1,8 @@
 // Machine-readable bench reporting — the BENCH_*.json perf trajectory.
 //
 // bench_kernels, bench_query_throughput, bench_serve_throughput,
-// bench_table6_medium and bench_fig4_breakdown accept `--json <file>` and
-// emit one JSON object: the
+// bench_table6_medium, bench_table7_large and bench_fig4_breakdown accept
+// `--json <file>` and emit one JSON object: the
 // bench name, the SIMD dispatch that was active, the host facts that tell
 // a slow machine from a regression (core count, CPU model, build type,
 // the per-core L2 size the device sizes its launches by, the git commit
@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "gosh/api/api.hpp"
 #include "gosh/common/simd.hpp"
 #include "gosh/simt/device.hpp"
 
@@ -102,6 +103,25 @@ inline double process_cpu_seconds() {
   timespec now{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
   return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
+}
+
+/// Positive plus negative updates one embed trained: passes x |V| x
+/// (1 + ns) on a resident level, rotations x B x K x |V| x (1 + ns) on a
+/// partitioned one.
+inline double trained_samples(const api::EmbedResult& result,
+                              const api::Options& options) {
+  const double per_positive = 1.0 + options.train().negative_samples;
+  double samples = 0.0;
+  for (const embedding::LevelReport& level : result.levels) {
+    const double positives =
+        level.used_large_graph_path
+            ? static_cast<double>(level.rotations) *
+                  options.gosh.large_graph.batch_B * level.partitions *
+                  level.vertices
+            : static_cast<double>(level.passes) * level.vertices;
+    samples += positives * per_positive;
+  }
+  return samples;
 }
 
 /// ISO-8601 UTC "now" for the report header.

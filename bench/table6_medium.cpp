@@ -42,24 +42,6 @@ struct Row {
   std::vector<double> level_seconds;
 };
 
-
-/// Positive plus negative updates one embed trained (see the header).
-double trained_samples(const api::EmbedResult& result,
-                       const api::Options& options) {
-  const double per_positive = 1.0 + options.train().negative_samples;
-  double samples = 0.0;
-  for (const embedding::LevelReport& level : result.levels) {
-    const double positives =
-        level.used_large_graph_path
-            ? static_cast<double>(level.rotations) *
-                  options.gosh.large_graph.batch_B * level.partitions *
-                  level.vertices
-            : static_cast<double>(level.passes) * level.vertices;
-    samples += positives * per_positive;
-  }
-  return samples;
-}
-
 void print_rows(const std::vector<Row>& rows) {
   // Speedups are relative to the VERSE row; if it failed there is no
   // reference, so the column prints "-" instead of inf.
@@ -107,7 +89,7 @@ Row measure(const std::string& label, const api::Options& options,
   row.seconds = result.total_seconds;
   row.auc = report.auc_roc;
   row.cpu_seconds = cpu_seconds;
-  row.samples = trained_samples(result, options);
+  row.samples = bench::trained_samples(result, options);
   for (const embedding::LevelReport& level : result.levels) {
     row.level_seconds.push_back(level.train_seconds);
   }

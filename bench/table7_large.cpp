@@ -7,14 +7,22 @@
 //   bench_table7_large [--large-scale N] [--dim D] [--device-kib K]
 //                      [--epoch-scale PCT]
 //                      [--datasets a,b,...] [--verse-all]
+//                      [--json FILE] [--run-id ID]
+//
+// With --json, every GOSH row adds records to a bench report (report.hpp):
+// wall seconds, process CPU seconds, trained samples per CPU-second, AUC,
+// and level 0's blocked_parts (S of its pair kernels when it trained
+// partitioned).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -44,6 +52,10 @@ int main(int argc, char** argv) {
   const auto names = api::flag_list(
       argc, argv, "--datasets",
       {"hyperlink2012", "soc-sinaweibo", "twitter_rv", "com-friendster"});
+
+  const std::string json_path = bench::json_flag(argc, argv);
+  std::vector<bench::Record> records;
+  const std::string isa(simd::isa_name(simd::active_isa()));
 
   api::print_bench_banner("Table 7: link prediction on large-scale analogs");
   std::printf("dim=%u, device capped at %zu KiB (matrix exceeds it => the\n"
@@ -129,19 +141,50 @@ int main(int argc, char** argv) {
       options.train().dim = dim;
       options.gosh.total_epochs = std::max(
           10u, static_cast<unsigned>(options.gosh.total_epochs * epoch_scale));
+      const double cpu_before = bench::process_cpu_seconds();
       auto embedded = api::embed(split.train, options);
+      const double cpu_seconds = bench::process_cpu_seconds() - cpu_before;
       if (!embedded.ok()) {
         std::printf("  Gosh-%-11s %10s %10s  (%s)\n", preset, "-", "FAILED",
                     embedded.status().to_string().c_str());
         continue;
       }
-      const double seconds = embedded.value().total_seconds;
-      const auto report = eval::evaluate_link_prediction(
-          embedded.value().embedding, split, sgd_eval());
-      std::printf("  Gosh-%-11s %10.2f %9.2f%%\n", preset, seconds,
-                  100.0 * report.auc_roc);
+      const api::EmbedResult& result = embedded.value();
+      const auto report =
+          eval::evaluate_link_prediction(result.embedding, split, sgd_eval());
+      std::printf("  Gosh-%-11s %10.2f %9.2f%%\n", preset,
+                  result.total_seconds, 100.0 * report.auc_roc);
+
+      const auto record = [&](const char* metric, double value,
+                              const char* unit) {
+        bench::Record r;
+        r.name = std::string("table7/") + metric;
+        r.params = {{"dataset", name},
+                    {"scale", std::to_string(scale)},
+                    {"dim", std::to_string(dim)},
+                    {"algorithm", std::string("Gosh-") + preset}};
+        r.value = value;
+        r.unit = unit;
+        r.isa = isa;
+        r.threads = std::thread::hardware_concurrency();
+        records.push_back(std::move(r));
+      };
+      const double samples = bench::trained_samples(result, options);
+      record("wall_s", result.total_seconds, "s");
+      record("cpu_s", cpu_seconds, "s");
+      record("samples_per_cpu_s",
+             cpu_seconds > 0.0 ? samples / cpu_seconds : 0.0, "1/s");
+      record("auc", report.auc_roc, "ratio");
+      record("level0_blocked_parts",
+             result.levels.empty() ? 0 : result.levels[0].blocked_parts,
+             "count");
     }
     std::printf("\n");
+  }
+  if (!json_path.empty() &&
+      !bench::write_report(json_path, "table7_large", records,
+                           bench::run_id_flag(argc, argv))) {
+    return 1;
   }
   return 0;
 }

@@ -88,6 +88,9 @@ template <typename T>
 struct OptionGroup {
   std::string_view title = {};  ///< --help heading
   std::vector<OptionRow<T>> rows = {};
+  /// The tool's own modes, not settings another table may share:
+  /// nested_groups leaves the group out.
+  bool tool_only = false;
 };
 
 namespace detail {
@@ -279,6 +282,9 @@ struct OptionTable {
                                         " (flags start with --)");
       const std::string_view key = arg.substr(2);
       const OptionRow<T>* row = find(key, /*cli=*/true);
+      // Refused at once: whether it would take a value is unknown, so the
+      // rest of the line cannot be read past it.
+      if (row == nullptr && key != "options") return unknown(key);
       if (row != nullptr && row->value_name.empty()) {
         flags.emplace_back(key, "true");
       } else if (i + 1 >= argc) {
@@ -372,9 +378,9 @@ struct OptionTable {
 };
 
 /// `inner`'s groups as rows of an Outer holding an Inner in `member`, minus
-/// the `shadowed` key, followed by `own`: how NetOptions takes every
-/// ServeOptions key. The rows keep their parsers; Inner::validate() keeps
-/// the rules.
+/// its tool_only groups and the `shadowed` key, followed by `own`: how
+/// NetOptions takes the ServeOptions keys gosh_serve reads. The rows keep
+/// their parsers; Inner::validate() keeps the rules.
 template <typename Outer, typename Inner>
 std::vector<OptionGroup<Outer>> nested_groups(
     const OptionTable<Inner>& inner, Inner Outer::*member,
@@ -382,6 +388,7 @@ std::vector<OptionGroup<Outer>> nested_groups(
   std::vector<OptionGroup<Outer>> groups;
   groups.reserve(inner.groups.size() + own.size());
   for (const OptionGroup<Inner>& group : inner.groups) {
+    if (group.tool_only) continue;
     OptionGroup<Outer>& nested = groups.emplace_back();
     nested.title = group.title;
     for (const OptionRow<Inner>& row : group.rows) {

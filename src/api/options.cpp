@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <utility>
 
+#include "gosh/api/registry.hpp"
+
 namespace gosh::api {
 namespace {
 
@@ -253,6 +255,9 @@ Status Options::validate() const {
     return bad("coarsening max_levels: must be >= 1");
   if (rows_per_shard != 0 && output_format != "store")
     return bad("rows-per-shard: only meaningful with --format store");
+  // Checked here, before any input loads, rather than when the backend is
+  // created; a backend registered before validation passes.
+  if (backend != "auto") return BackendRegistry::instance().check(backend);
   return Status::ok();
 }
 

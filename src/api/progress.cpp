@@ -24,7 +24,9 @@ void LoggingProgressObserver::on_level_end(const LevelInfo& level,
   log_info("level " + std::to_string(level.level) + ": done in " +
            std::to_string(seconds) + " s" +
            (level.blocked_parts != 0
-                ? " [blocked K=" + std::to_string(level.blocked_parts) + "]"
+                ? std::string(level.partitioned ? " [blocked S="
+                                                : " [blocked K=") +
+                      std::to_string(level.blocked_parts) + "]"
                 : ""));
 }
 

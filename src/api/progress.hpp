@@ -22,9 +22,11 @@ struct LevelInfo {
   eid_t arcs = 0;
   unsigned epochs = 0;          ///< scheduled budget, paper epoch unit
   bool partitioned = false;     ///< Algorithm 5 path
-  /// K of the blocked passes a resident level above L2 trained in, 0 when
-  /// it trained unblocked (embedding::LevelReport::blocked_parts). Known
-  /// once the level has trained: set in on_level_end, 0 in on_level_begin.
+  /// K of the blocked passes a resident level above L2 trained in, or S
+  /// of the sub-parts a partitioned level's pair kernels above L2 trained
+  /// in; 0 when it trained unblocked (embedding::LevelReport::blocked_parts).
+  /// Known once the level has trained: set in on_level_end, 0 in
+  /// on_level_begin.
   /// A partial last cycle's positive-only rounds count in simt.kernels.
   unsigned blocked_parts = 0;
 };

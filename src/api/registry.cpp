@@ -39,6 +39,17 @@ bool BackendRegistry::contains(std::string_view name) const {
                      [name](const Entry& entry) { return entry.name == name; });
 }
 
+Status BackendRegistry::check(std::string_view name) const {
+  if (contains(name)) return Status::ok();
+  std::string known;
+  for (const std::string& candidate : names()) {
+    if (!known.empty()) known += ", ";
+    known += candidate;
+  }
+  return Status::not_found("unknown backend '" + std::string(name) +
+                           "' (registered: " + known + ")");
+}
+
 std::vector<std::string> BackendRegistry::names() const {
   std::vector<std::string> names;
   names.reserve(entries_.size());
@@ -63,13 +74,7 @@ Result<std::unique_ptr<Embedder>> BackendRegistry::create(
                               ": construction failed: " + error.what());
     }
   }
-  std::string known;
-  for (const std::string& candidate : names()) {
-    if (!known.empty()) known += ", ";
-    known += candidate;
-  }
-  return Status::not_found("unknown backend '" + std::string(name) +
-                           "' (registered: " + known + ")");
+  return check(name);
 }
 
 std::string select_backend(const Options& options, const graph::Graph& graph) {

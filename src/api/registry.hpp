@@ -29,11 +29,13 @@ class BackendRegistry {
   Status add(std::string name, EmbedderFactory factory);
 
   bool contains(std::string_view name) const;
+  /// Ok when `name` is registered, else kNotFound listing what is.
+  Status check(std::string_view name) const;
   /// All registered names, sorted.
   std::vector<std::string> names() const;
 
   /// Constructs the named backend from `options`. Unknown names return
-  /// kNotFound listing what is available.
+  /// check()'s kNotFound.
   Result<std::unique_ptr<Embedder>> create(std::string_view name,
                                            const Options& options) const;
 

@@ -119,6 +119,7 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
                                             lg);
       const largegraph::LargeGraphStats stats =
           trainer.train(matrix, report.passes);
+      report.blocked_parts = stats.sub_parts;
       report.partitions = stats.num_parts;
       report.rotations = stats.rotations;
       report.pair_kernels = stats.kernels;

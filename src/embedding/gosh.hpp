@@ -90,9 +90,11 @@ struct LevelReport {
   bool used_large_graph_path = false;
   double train_seconds = 0.0;
   /// K of the blocked passes a resident level above L2 trained in
-  /// (DeviceTrainer::blocked_parts), 0 when it trained unblocked. A
-  /// partial last cycle adds positive-only launches, which count in the
-  /// device's kernels_launched (simt.kernels) but not in `passes`.
+  /// (DeviceTrainer::blocked_parts), or S of the sub-parts a partitioned
+  /// level's pair kernels above L2 trained in (LargeGraphStats::sub_parts);
+  /// 0 when it trained unblocked. A partial last cycle adds positive-only
+  /// launches, which count in the device's kernels_launched (simt.kernels)
+  /// but not in `passes`.
   unsigned blocked_parts = 0;
   // Algorithm 5 detail, zero when the level trained resident.
   unsigned partitions = 0;               ///< K_i of the partition plan

@@ -57,22 +57,28 @@ std::vector<std::vector<PartPair>> BlockedSchedule::cycle(
   std::iota(order.begin(), order.end(), 0u);
   shuffle(order);
 
-  // Circle method: part k-1 stays put while the others rotate, so round r
-  // pairs it with r and folds the remaining k-2 parts around r; round k-1
-  // is the self-pairs.
+  const std::vector<std::vector<PartPair>> base = circle(k);
   std::vector<std::vector<PartPair>> rounds(k);
   for (unsigned slot = 0; slot < k; ++slot) {
-    const unsigned r = order[slot];
-    std::vector<PartPair>& pairs = rounds[slot];
-    if (r == k - 1) {
-      for (unsigned p = 0; p < k; ++p) pairs.push_back({label[p], label[p]});
-      continue;
+    rounds[slot] = base[order[slot]];
+    for (PartPair& pair : rounds[slot]) pair = {label[pair.a], label[pair.b]};
+  }
+  return rounds;
+}
+
+std::vector<std::vector<PartPair>> BlockedSchedule::circle(unsigned k) {
+  if (k == 0) return {};
+  // The odd count of parts that rotate: round r folds them around part r.
+  const unsigned rotating = k % 2 == 1 ? k : k - 1;
+  std::vector<std::vector<PartPair>> rounds(k);
+  for (unsigned r = 0; r < rotating; ++r) {
+    rounds[r].push_back({r, k % 2 == 1 ? r : k - 1});
+    for (unsigned i = 1; i <= rotating / 2; ++i) {
+      rounds[r].push_back({(r + i) % rotating, (r + rotating - i) % rotating});
     }
-    pairs.push_back({label[r], label[k - 1]});
-    for (unsigned i = 1; i < k / 2; ++i) {
-      pairs.push_back(
-          {label[(r + i) % (k - 1)], label[(r + k - 1 - i) % (k - 1)]});
-    }
+  }
+  if (k % 2 == 0) {
+    for (unsigned p = 0; p < k; ++p) rounds[k - 1].push_back({p, p});
   }
   return rounds;
 }

@@ -123,8 +123,17 @@ class BlockedSchedule {
   }
 
   /// The K rounds of the cycle seeded by `cycle_seed`, in the order they
-  /// run; each round is a perfect matching of the parts.
+  /// run; each round is a perfect matching of the parts. It is circle(K)
+  /// relabelled and reordered.
   std::vector<std::vector<PartPair>> cycle(std::uint64_t cycle_seed) const;
+
+  /// The circle method over parts [0, K), K rounds (none for K = 0). An odd
+  /// number of parts rotates around a fixed point: round r leaves part r
+  /// out of its pairs (a bye). Even K fixes part K - 1 and pairs it with
+  /// the bye, then adds a round of K self-pairs; odd K pairs the bye with
+  /// itself. Either way each round holds every part once and every
+  /// unordered pair, self-pairs included, meets once.
+  static std::vector<std::vector<PartPair>> circle(unsigned num_parts);
 
  private:
   vid_t num_vertices_;

@@ -16,11 +16,11 @@
 // element, as the paper prescribes. train_source() is the per-source
 // sample loop every device kernel (resident, blocked and pair) runs around
 // it; for_each_blocked_source() is the sampling half of the blocked
-// resident kernel's pair task.
+// resident kernel's pair task, for_each_pair_source() that of the blocked
+// Algorithm 5 pair kernel's sub-part task.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <span>
 
@@ -33,7 +33,7 @@
 namespace gosh::embedding {
 
 /// Most negatives one positive may carry (the api's negative-samples cap);
-/// it bounds train_source's draw buffer, so the trainers reject more.
+/// train_source's draw buffer holds one positive and this many negatives.
 inline constexpr unsigned kMaxNegativeSamples = 64;
 
 enum class UpdateRule {
@@ -105,14 +105,14 @@ inline void prefetch_row(const emb_t* row, unsigned d) noexcept {
 /// kernel skips (no neighbour, a self sample). Draws never read the
 /// matrix, so drawing ahead leaves the RNG stream and every update exactly
 /// as an interleaved loop would; that also lets a source with more draws
-/// than the buffer holds apply them in several batches. Returns the
-/// number of updates applied.
+/// than the buffer holds apply them in several batches. One positive and
+/// up to kMaxNegativeSamples negatives make one batch. Returns the number
+/// of updates applied.
 template <typename Sigmoid, typename DrawPositive, typename DrawNegative>
 inline unsigned train_source(emb_t* source, unsigned d, unsigned positives,
                              unsigned ns, float lr, const Sigmoid& sigmoid,
                              UpdateRule rule, DrawPositive&& draw_positive,
                              DrawNegative&& draw_negative) noexcept {
-  assert(ns <= kMaxNegativeSamples);
   constexpr unsigned kCapacity = 1 + kMaxNegativeSamples;
   // Only rows[0, count) is ever read, each slot written just before;
   // zero-filling all 65 slots per source would tax the hottest loop.
@@ -134,8 +134,12 @@ inline unsigned train_source(emb_t* source, unsigned d, unsigned positives,
     if (emb_t* const positive = draw_positive()) rows[count++] = positive;
   }
   if (count + ns > kCapacity) apply(count);
-  const unsigned labeled = count;
+  unsigned labeled = count;
   for (unsigned k = 0; k < ns; ++k) {
+    if (count == kCapacity) {
+      apply(labeled);
+      labeled = 0;
+    }
     if (emb_t* const negative = draw_negative()) rows[count++] = negative;
   }
   apply(labeled);
@@ -215,6 +219,75 @@ inline void for_each_blocked_source(const BlockedRound& round, vid_t begin,
         [&]() -> vid_t {
           return partner_begin +
                  static_cast<vid_t>(rng.next_bounded(partner_size));
+        });
+  }
+}
+
+/// One visit of a blocked Algorithm 5 pair kernel (largegraph/trainer.hpp)
+/// as its sampling sees it. A pair kernel above L2 trains the sources of a
+/// part against a partner part of P rows cut into S contiguous sub-parts,
+/// in S visits per source, one to each sub-part.
+struct PairVisit {
+  /// The source part's pool: B global ids per source, source-major, each
+  /// a neighbour in the partner part or kInvalidVertex.
+  const vid_t* pool = nullptr;
+  vid_t part_begin = 0;  ///< the source part's first vertex (pool row 0)
+  unsigned batch = 0;    ///< B
+  vid_t partner_begin = 0, partner_end = 0;  ///< the partner part
+  vid_t sub_begin = 0, sub_end = 0;          ///< the sub-part visited
+  std::uint64_t seed = 0;  ///< source v draws from hash_combine(seed, v)
+  /// B * ns, a source's negatives over its S visits.
+  unsigned negatives = 0;
+};
+
+/// The sampling half of a blocked pair-kernel task: the sources [begin,
+/// end) of one sub-part, in order, visiting the sub-part `visit` names.
+/// Over its S visits a source makes exactly the draws of the unblocked
+/// pair kernel. Each of its B pool entries is drawn in the visit to the
+/// sub-part holding it (kInvalidVertex in none). Its B * ns negatives are
+/// split over the sub-parts by systematic sampling: negative k sits at
+/// k * P + u on a line of B * ns * P points, u uniform in [0, P) per source,
+/// and the visit to a sub-part of rows [lo, hi) takes those in [lo * B * ns,
+/// hi * B * ns), within one of its share B * ns * (hi - lo) / P, each a
+/// uniform pick from the sub-part; a negative's marginal stays uniform over
+/// the partner part. Calls `train(src, positives, negatives,
+/// draw_positive, draw_negative)` for every source with a draw to make; it
+/// must call draw_positive `positives` times, then draw_negative
+/// `negatives` times. Draws return raw vertex ids, a self sample included.
+template <typename Train>
+inline void for_each_pair_source(const PairVisit& visit, vid_t begin,
+                                 vid_t end, Train&& train) {
+  const std::uint64_t part_rows = visit.partner_end - visit.partner_begin;
+  const std::uint64_t total = visit.negatives;
+  const std::uint64_t lo = (visit.sub_begin - visit.partner_begin) * total;
+  const std::uint64_t hi = (visit.sub_end - visit.partner_begin) * total;
+  const vid_t sub_size = visit.sub_end - visit.sub_begin;
+  const auto held = [&visit](vid_t id) {
+    return id >= visit.sub_begin && id < visit.sub_end;
+  };
+  for (vid_t src = begin; src < end; ++src) {
+    const vid_t* entry =
+        visit.pool + std::size_t{src - visit.part_begin} * visit.batch;
+    unsigned positives = 0;
+    for (unsigned i = 0; i < visit.batch; ++i) positives += held(entry[i]);
+    const std::uint64_t source_seed = hash_combine(visit.seed, src);
+    // Negatives at k * P + u below x: the k < ceil((x - u) / P).
+    const std::uint64_t u = Rng(source_seed).next_bounded(part_rows);
+    const auto below = [&](std::uint64_t x) -> std::uint64_t {
+      return x > u ? std::min(total, (x - u + part_rows - 1) / part_rows) : 0;
+    };
+    const auto negatives = static_cast<unsigned>(below(hi) - below(lo));
+    if (positives + negatives == 0) continue;
+    Rng rng(hash_combine(source_seed, visit.sub_begin));
+    train(
+        src, positives, negatives,
+        [&]() -> vid_t {
+          while (!held(*entry)) ++entry;
+          return *entry++;
+        },
+        [&]() -> vid_t {
+          return visit.sub_begin +
+                 static_cast<vid_t>(rng.next_bounded(sub_size));
         });
   }
 }

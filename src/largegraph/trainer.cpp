@@ -1,11 +1,14 @@
 #include "gosh/largegraph/trainer.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <deque>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gosh/common/rng.hpp"
@@ -32,10 +35,8 @@ struct DevicePool {
   std::size_t b_count = 0;  ///< entries in the b_from_a segment
 };
 
-/// Pair kernel: warps [0, |Va|) run part-a sources sampling from part b;
-/// warps [|Va|, |Va|+|Vb|) the reverse (absent on the diagonal). One
-/// vertex per warp; the source row is staged in shared memory as in the
-/// resident-graph kernel.
+/// The inputs of one pair kernel: the sources of part a against part b,
+/// then those of part b against part a (absent on the diagonal).
 struct PairKernelArgs {
   emb_t* slot_a = nullptr;
   emb_t* slot_b = nullptr;
@@ -49,12 +50,26 @@ struct PairKernelArgs {
   float lr = 0.0f;
   embedding::UpdateRule rule = embedding::UpdateRule::kSimultaneous;
   std::uint64_t seed = 0;
+
+  bool diagonal() const noexcept {
+    return slot_a == slot_b && a_begin == b_begin;
+  }
+  /// Bytes of the rows the kernel writes: both parts, one on the diagonal.
+  std::size_t working_set_bytes() const noexcept {
+    return (std::size_t{a_size} + (diagonal() ? 0 : b_size)) * dim *
+           sizeof(emb_t);
+  }
 };
 
+/// A pair kernel as one warp launch: warps [0, |Va|) run part-a sources
+/// sampling from part b, warps [|Va|, |Va|+|Vb|) the reverse (absent on the
+/// diagonal). One vertex per warp; the source row is staged in shared
+/// memory as in the resident-graph kernel. The launch runs inline when the
+/// rows fit one core's L2, else spread over the workers (HOGWILD).
 template <typename Sigmoid>
-void run_pair_kernel(simt::Device& device, const PairKernelArgs& args,
-                     const Sigmoid& sigmoid) {
-  const bool diagonal = args.slot_a == args.slot_b && args.a_begin == args.b_begin;
+void run_warp_pair_kernel(simt::Device& device, const PairKernelArgs& args,
+                          const Sigmoid& sigmoid) {
+  const bool diagonal = args.diagonal();
   const std::size_t num_warps =
       static_cast<std::size_t>(args.a_size) + (diagonal ? 0 : args.b_size);
   const std::size_t shared_bytes = args.dim * sizeof(emb_t);
@@ -110,12 +125,163 @@ void run_pair_kernel(simt::Device& device, const PairKernelArgs& args,
     std::memcpy(source_row, staged, d * sizeof(emb_t));
   };
 
-  // The kernel writes rows of both resident parts (one on the diagonal).
-  device.launch_blocking(num_warps, shared_bytes,
-                         num_warps * args.dim * sizeof(emb_t), kernel);
+  device.launch_blocking(num_warps, shared_bytes, args.working_set_bytes(),
+                         kernel);
+}
+
+/// A pair kernel above L2, in blocked tasks over S sub-parts per part
+/// (trainer.hpp). Sub-part x of the kernel is sub-part x % S of part a when
+/// x < S, else of part b; the diagonal has only part a's S.
+///
+/// Schedule invariant: every task of the kernel is in one launch in
+/// round-major order, and the device's workers claim tasks one at a time
+/// in index order. A task of round r waits, blocking, until each of its
+/// sub-parts has finished round r - 1, and those tasks come earlier in the
+/// order. So when a task waits, every task it waits on is already claimed,
+/// and the earliest unfinished task never waits: no worker count, one
+/// included, can deadlock. The acquire load that ends the wait pairs with
+/// the release store that published the round, so the rows a task reads
+/// are the ones its sub-parts' previous tasks wrote.
+template <typename Sigmoid>
+void run_blocked_pair_kernel(simt::Device& device, const PairKernelArgs& args,
+                             unsigned sub_parts, const Sigmoid& sigmoid) {
+  const unsigned d = args.dim;
+  const bool diagonal = args.diagonal();
+  struct Side {
+    emb_t* slot;
+    vid_t begin;
+    vid_t size;
+    const vid_t* pool;
+  };
+  const Side sides[2] = {
+      {args.slot_a, args.a_begin, args.a_size, args.a_from_b},
+      {args.slot_b, args.b_begin, args.b_size, args.b_from_a}};
+  // Rows [first, last) of sub-part x, local to its part.
+  const auto sub_range = [&](unsigned x) {
+    const Side& side = sides[x / sub_parts];
+    const std::uint64_t i = x % sub_parts;
+    return std::pair<vid_t, vid_t>(
+        static_cast<vid_t>(i * side.size / sub_parts),
+        static_cast<vid_t>((i + 1) * side.size / sub_parts));
+  };
+
+  struct Task {
+    unsigned first, second, round;
+  };
+  std::vector<Task> tasks;
+  const auto rounds = pair_kernel_rounds(sub_parts, diagonal);
+  const auto num_rounds = static_cast<unsigned>(rounds.size());
+  for (unsigned r = 0; r < num_rounds; ++r) {
+    for (const embedding::PartPair& pair : rounds[r]) {
+      tasks.push_back({pair.a, diagonal ? pair.b : sub_parts + pair.b, r});
+    }
+  }
+  std::vector<std::atomic<unsigned>> rounds_done(diagonal ? sub_parts
+                                                          : 2 * sub_parts);
+
+  // The sources of sub-part x against sub-part y.
+  const auto train_half = [&](unsigned x, unsigned y, emb_t* staged) {
+    const Side& source = sides[x / sub_parts];
+    const Side& partner = sides[y / sub_parts];
+    const auto [first, last] = sub_range(x);
+    const auto [partner_first, partner_last] = sub_range(y);
+    embedding::PairVisit visit;
+    visit.pool = source.pool;
+    visit.part_begin = source.begin;
+    visit.batch = args.batch_B;
+    visit.partner_begin = partner.begin;
+    visit.partner_end = partner.begin + partner.size;
+    visit.sub_begin = partner.begin + partner_first;
+    visit.sub_end = partner.begin + partner_last;
+    visit.seed = args.seed;
+    visit.negatives = args.batch_B * args.ns;
+    const auto row = [d](const Side& side, vid_t v) {
+      return side.slot + static_cast<std::size_t>(v - side.begin) * d;
+    };
+    embedding::for_each_pair_source(
+        visit, source.begin + first, source.begin + last,
+        [&](vid_t src, unsigned positives, unsigned negatives,
+            auto&& draw_positive, auto&& draw_negative) {
+          emb_t* const source_row = row(source, src);
+          std::memcpy(staged, source_row, d * sizeof(emb_t));
+          // A self sample (the diagonal's) would update the row under the
+          // staged copy, for the writeback to clobber: skip it.
+          embedding::train_source(
+              staged, d, positives, negatives, args.lr, sigmoid, args.rule,
+              [&]() -> emb_t* {
+                const vid_t positive = draw_positive();
+                return positive != src ? row(partner, positive) : nullptr;
+              },
+              [&]() -> emb_t* {
+                const vid_t negative = draw_negative();
+                return negative != src ? row(partner, negative) : nullptr;
+              });
+          std::memcpy(source_row, staged, d * sizeof(emb_t));
+        });
+  };
+  const auto await_round = [&](unsigned x, unsigned round) {
+    std::atomic<unsigned>& done = rounds_done[x];
+    for (unsigned seen = done.load(std::memory_order_acquire); seen < round;
+         seen = done.load(std::memory_order_acquire)) {
+      done.wait(seen, std::memory_order_acquire);
+    }
+  };
+  const auto publish_round = [&](unsigned x, unsigned round) {
+    rounds_done[x].store(round + 1, std::memory_order_release);
+    rounds_done[x].notify_all();
+  };
+
+  auto kernel = [&](const simt::WarpContext& ctx) {
+    const Task& task = tasks[ctx.warp_id];
+    emb_t* const staged = reinterpret_cast<emb_t*>(ctx.shared);
+    await_round(task.first, task.round);
+    await_round(task.second, task.round);
+    train_half(task.first, task.second, staged);
+    if (task.first != task.second) train_half(task.second, task.first, staged);
+    publish_round(task.first, task.round);
+    if (task.first != task.second) publish_round(task.second, task.round);
+  };
+  device.launch_tasks(tasks.size(), d * sizeof(emb_t), kernel);
+}
+
+/// Runs one pair kernel in blocked tasks over `sub_parts` sub-parts per
+/// part when its rows exceed one core's L2 and `sub_parts` is not 0, else
+/// as one warp launch. Returns whether it ran blocked.
+template <typename Sigmoid>
+bool run_pair_kernel(simt::Device& device, const PairKernelArgs& args,
+                     unsigned sub_parts, const Sigmoid& sigmoid) {
+  if (sub_parts == 0 || args.working_set_bytes() <= simt::core_l2_bytes()) {
+    run_warp_pair_kernel(device, args, sigmoid);
+    return false;
+  }
+  run_blocked_pair_kernel(device, args, sub_parts, sigmoid);
+  return true;
 }
 
 }  // namespace
+
+unsigned pair_sub_parts(vid_t part_capacity, unsigned dim,
+                        std::size_t l2_bytes) {
+  const std::size_t row_bytes = std::size_t{dim} * sizeof(emb_t);
+  // Rows one sub-part may hold; a row too wide for half of L2 gets its own.
+  const std::size_t rows = std::max<std::size_t>(1, l2_bytes / 2 / row_bytes);
+  const std::size_t fit = (part_capacity + rows - 1) / rows;
+  // Past 2 * kMaxPairSubParts a sub-part at the cap exceeds L2.
+  if (fit > 2 * kMaxPairSubParts) return 0;
+  return static_cast<unsigned>(std::min<std::size_t>(kMaxPairSubParts, fit));
+}
+
+std::vector<std::vector<embedding::PartPair>> pair_kernel_rounds(
+    unsigned sub_parts, bool diagonal) {
+  if (diagonal) return embedding::BlockedSchedule::circle(sub_parts);
+  std::vector<std::vector<embedding::PartPair>> rounds(sub_parts);
+  for (unsigned r = 0; r < sub_parts; ++r) {
+    for (unsigned i = 0; i < sub_parts; ++i) {
+      rounds[r].push_back({i, (i + r) % sub_parts});
+    }
+  }
+  return rounds;
+}
 
 LargeGraphTrainer::LargeGraphTrainer(simt::Device& device,
                                      const graph::Graph& graph,
@@ -154,6 +320,8 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
   const vid_t capacity = plan_.part_capacity;
   const unsigned rotations = std::max(
       1u, (epochs + config_.batch_B * k - 1) / (config_.batch_B * k));
+
+  const unsigned sub_parts = pair_sub_parts(capacity, d);
 
   LargeGraphStats stats;
   stats.num_parts = k;
@@ -373,11 +541,12 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
 
       {
         TRACE_SPAN("pair-kernel");
-        if (train_config_.use_sigmoid_lut) {
-          run_pair_kernel(device_, args, lut);
-        } else {
-          run_pair_kernel(device_, args, embedding::ExactSigmoid{});
-        }
+        const bool blocked =
+            train_config_.use_sigmoid_lut
+                ? run_pair_kernel(device_, args, sub_parts, lut)
+                : run_pair_kernel(device_, args, sub_parts,
+                                  embedding::ExactSigmoid{});
+        if (blocked) stats.sub_parts = sub_parts;
       }
       stats.kernels++;
       stats.pools_consumed++;

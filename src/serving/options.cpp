@@ -187,18 +187,24 @@ const api::OptionTable<ServeOptions>& ServeOptions::table() {
          option<S>("ef-construction", "EC", "HNSW build beam width",
                    &S::ef_construction, at_least(1)),
          option<S>("seed", "S", "build and --eval sampling seed", &S::seed)}},
-       {"gosh_query modes",
-        {flag<S>("build-index", "build the HNSW index beside the store",
-                 &S::build_index),
-         option<S>("queries", "FILE", "answer each line of FILE ('-' = stdin)",
-                   &S::queries_path),
-         option<S>("eval", "N", "recall@k against the exact scan on N rows",
-                   &S::eval_samples),
-         option<S>("recall-floor", "F",
-                   "exit nonzero when --eval recall is below F",
-                   &S::recall_floor, within(0, 1)),
-         flag<S>("metrics", "print the metrics exposition at exit",
-                 &S::dump_metrics)}}}};
+       // One-shot modes (build, answer a file, evaluate, dump metrics):
+       // gosh_serve has no use for them, so its table refuses them.
+       {.title = "gosh_query modes",
+        .rows = {flag<S>("build-index",
+                         "build the HNSW index beside the store",
+                         &S::build_index),
+                 option<S>("queries", "FILE",
+                           "answer each line of FILE ('-' = stdin)",
+                           &S::queries_path),
+                 option<S>("eval", "N",
+                           "recall@k against the exact scan on N rows",
+                           &S::eval_samples),
+                 option<S>("recall-floor", "F",
+                           "exit nonzero when --eval recall is below F",
+                           &S::recall_floor, within(0, 1)),
+                 flag<S>("metrics", "print the metrics exposition at exit",
+                         &S::dump_metrics)},
+        .tool_only = true}}};
   return table;
 }
 

@@ -25,9 +25,13 @@
 // over a matrix above L2 pays the other side of that trade: every sample
 // is a random row far from the core. Task launches (launch_tasks) are the
 // way out: the caller cuts the work into tasks that each touch an
-// L2-sized slice of rows no other task of the launch touches, and each
-// worker claims one task at a time, so one core owns a slice for the
-// whole task. The blocked resident trainer runs its part pairs this way.
+// L2-sized slice of rows no task running at the same time touches, and
+// each worker claims one task at a time, in index order, so one core owns
+// a slice for the whole task. The blocked resident trainer runs its part
+// pairs this way, one launch per round; the Algorithm 5 pair kernels
+// above L2 on parts of up to four L2s run all rounds of their sub-part
+// pairs in one launch, a task waiting for the earlier tasks that share its
+// rows.
 // All paths hold the device's single launch slot and are metered alike;
 // only the thread that runs the warps and the claim size differ.
 //
@@ -130,7 +134,8 @@ class Device {
   /// Runs `kernel` once per task in [0, num_tasks) on the worker pool,
   /// blocking until all complete; WarpContext::warp_id is the task index.
   /// Each worker claims one task at a time, whatever warp_grain says, so
-  /// N tasks on N or more workers all run at once.
+  /// N tasks on N or more workers all run at once. Claims go in index
+  /// order, so a task may wait for a lower-index one without deadlock.
   void launch_tasks(std::size_t num_tasks, std::size_t shared_bytes,
                     const WarpKernel& kernel);
 

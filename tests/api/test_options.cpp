@@ -4,10 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gosh/api/options.hpp"
+#include "gosh/api/registry.hpp"
 
 namespace gosh::api {
 namespace {
@@ -174,6 +177,52 @@ TEST(Options, ValidateRejectsOutOfRangeValues) {
     options.gosh.large_graph.pgpu = 1;
     EXPECT_FALSE(options.validate().is_ok());
   }
+}
+
+TEST(Options, ValidateRejectsAnUnknownBackendListingTheRegisteredOnes) {
+  // An unknown backend fails option validation, so a tool refuses it
+  // before it reads any input, and the message names what would work.
+  Options options;
+  options.backend = "nope";
+  const Status status = options.validate();
+  ASSERT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_NE(status.message().find("'nope'"), std::string::npos);
+  for (const std::string& name : BackendRegistry::instance().names()) {
+    EXPECT_NE(status.message().find(name), std::string::npos) << name;
+  }
+  Args args({"--backend", "nope", "--demo"});
+  EXPECT_FALSE(Options::from_args(args.argc(), args.argv()).ok());
+
+  for (const char* known : {"auto", "device", "largegraph", "mile"}) {
+    options.backend = known;
+    EXPECT_TRUE(options.validate().is_ok()) << known;
+  }
+  // A backend registered before validation is as good as a built-in. The
+  // registry is process-wide and keeps it for the rest of the process, so
+  // it must construct like one too, and a repeated run finds it there.
+  class CustomEmbedder final : public Embedder {
+   public:
+    std::string_view name() const noexcept override {
+      return "test-options-custom";
+    }
+    Result<EmbedResult> embed(const graph::Graph&,
+                              ProgressObserver*) override {
+      return Status::internal("not used");
+    }
+  };
+  BackendRegistry& registry = BackendRegistry::instance();
+  if (!registry.contains("test-options-custom")) {
+    ASSERT_TRUE(
+        registry
+            .add("test-options-custom",
+                 [](const Options&) -> Result<std::unique_ptr<Embedder>> {
+                   return std::unique_ptr<Embedder>(
+                       std::make_unique<CustomEmbedder>());
+                 })
+            .is_ok());
+  }
+  options.backend = "test-options-custom";
+  EXPECT_TRUE(options.validate().is_ok());
 }
 
 TEST(Options, FromFileRoundTrip) {

@@ -91,6 +91,24 @@ const std::vector<std::string> kServeBare = {
     "build-index", "cache", "metrics", "no-verify", "require-all-shards"};
 const std::vector<std::string> kNetBare = {"access-log",
                                            "allow-remote-shutdown"};
+// gosh_query's one-shot modes: ServeOptions keys gosh_serve refuses.
+const std::vector<std::string> kQueryModes = {
+    "build-index", "queries", "eval", "recall-floor", "metrics"};
+
+bool is_query_mode(std::string_view key) {
+  return std::find(kQueryModes.begin(), kQueryModes.end(), key) !=
+         kQueryModes.end();
+}
+
+/// The ServeOptions bare flags gosh_serve takes too.
+std::vector<std::string> net_bare_flags() {
+  std::vector<std::string> bare = kNetBare;
+  for (const std::string& key : kServeBare) {
+    if (!is_query_mode(key)) bare.push_back(key);
+  }
+  std::sort(bare.begin(), bare.end());
+  return bare;
+}
 
 // What every parse path starts from, so each sample alone validates
 // (rows-per-shard needs the store format; burst needs a rate).
@@ -172,10 +190,12 @@ TEST(OptionTables, KeySetsMatchTheirLiteralLists) {
   expect_key_sets(serving::ServeOptions::table(), kServeSamples,
                   {"no-verify"});
   // NetOptions: its own keys plus every ServeOptions key but the shadowed
-  // threads.
+  // threads and gosh_query's modes.
   Pairs net = kNetSamples;
   for (const auto& sample : kServeSamples) {
-    if (sample.first != "threads") net.push_back(sample);
+    if (sample.first != "threads" && !is_query_mode(sample.first)) {
+      net.push_back(sample);
+    }
   }
   expect_key_sets(net::NetOptions::table(), net, {"no-verify"});
   EXPECT_EQ(kApiSamples.size(), 36u);
@@ -215,9 +235,8 @@ TEST(OptionTables, EveryKeyParsesAlikeThroughSetFileAndArgs) {
   expect_parity(api::Options::table(), kApiSamples, kApiBase, kApiBare);
   expect_parity(serving::ServeOptions::table(), kServeSamples, kServeBase,
                 kServeBare);
-  std::vector<std::string> net_bare = kNetBare;
-  net_bare.insert(net_bare.end(), kServeBare.begin(), kServeBare.end());
-  expect_parity(net::NetOptions::table(), kNetSamples, kNetBase, net_bare);
+  expect_parity(net::NetOptions::table(), kNetSamples, kNetBase,
+                net_bare_flags());
 }
 
 template <typename T>
@@ -246,10 +265,7 @@ void expect_arity(const OptionTable<T>& table, const Pairs& base,
 TEST(OptionTables, BareFlagsTakeNoValueAndOthersDemandOne) {
   expect_arity(api::Options::table(), kApiBase, kApiBare);
   expect_arity(serving::ServeOptions::table(), kServeBase, kServeBare);
-  std::vector<std::string> net_bare = kNetBare;
-  net_bare.insert(net_bare.end(), kServeBare.begin(), kServeBare.end());
-  std::sort(net_bare.begin(), net_bare.end());
-  expect_arity(net::NetOptions::table(), kNetBase, net_bare);
+  expect_arity(net::NetOptions::table(), kNetBase, net_bare_flags());
 }
 
 TEST(OptionTables, NetOptionsTakesEveryServeKeyAlike) {
@@ -258,6 +274,10 @@ TEST(OptionTables, NetOptionsTakesEveryServeKeyAlike) {
   for (const OptionRow<serving::ServeOptions>* row : rows_of(serve)) {
     SCOPED_TRACE(std::string(row->key));
     const OptionRow<net::NetOptions>* twin = net.find(row->key, /*cli=*/true);
+    if (is_query_mode(row->key)) {
+      EXPECT_EQ(twin, nullptr);  // refused: NetOptions.QueryModesAreRefused
+      continue;
+    }
     ASSERT_NE(twin, nullptr);
     EXPECT_EQ(twin->value_name, row->value_name);
     EXPECT_EQ(twin->cli_only, row->cli_only);
@@ -266,6 +286,7 @@ TEST(OptionTables, NetOptionsTakesEveryServeKeyAlike) {
   }
   // Every sample lands on the embedded ServeOptions exactly as on its own.
   for (const auto& [key, value] : kServeSamples) {
+    if (is_query_mode(key)) continue;
     SCOPED_TRACE(key);
     serving::ServeOptions alone;
     net::NetOptions embedded;

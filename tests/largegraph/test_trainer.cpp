@@ -175,10 +175,10 @@ TEST(LargeTrainer, RejectsTooManyNegativeSamples) {
 
 TEST(LargeTrainer, PairKernelsAboveL2RunOnTheWorkerPool) {
   // 8192 x 128 floats in 2 parts of 2 MiB: the off-diagonal pair kernel
-  // writes 4 MiB of rows, above a per-core L2, so it takes the worker
-  // pool. This is the partitioned test that keeps the pair kernel's
-  // spread path under the race detector, with one worker for the reason
-  // Trainer.MatrixAboveL2RunsOnTheWorkerPool gives.
+  // writes 4 MiB of rows, above a per-core L2, so it trains in blocked
+  // sub-part tasks on the worker pool, and the level reports their S.
+  // One worker runs every task in claim order, which the wavefront's
+  // waits must survive.
   const auto g = graph::rmat(13, 32768, 47);
   api::Options options = partitioned_options(16u << 20, 128, 1);
   options.device.workers = 1;
@@ -190,6 +190,66 @@ TEST(LargeTrainer, PairKernelsAboveL2RunOnTheWorkerPool) {
   ASSERT_EQ(level.partitions, 2u);
   EXPECT_EQ(level.pair_kernels, 3u);  // (0,0), (0,1), (1,1)
   ASSERT_GT(g.num_vertices() * 128 * sizeof(emb_t), simt::core_l2_bytes());
+  EXPECT_EQ(level.blocked_parts, largegraph::pair_sub_parts(4096, 128));
+  EXPECT_GE(level.blocked_parts, 2u);
+  for (std::size_t i = 0; i < result.embedding.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(result.embedding.data()[i]));
+  }
+}
+
+TEST(LargeTrainer, PairKernelsAreIdenticalAtAnyWorkerCount) {
+  // A flat level of 3 L2s of 128-wide rows in 2 parts: every pair kernel
+  // exceeds one core's L2 and trains in blocked sub-part tasks. The tasks
+  // of a sub-part run in round order and the tasks running at once share
+  // no rows, so the worker count cannot change a bit.
+  const std::size_t l2 = simt::core_l2_bytes();
+  const auto n = static_cast<vid_t>(3 * l2 / (128 * sizeof(emb_t)));
+  const auto g = graph::erdos_renyi(n, 4 * eid_t{n}, 48);
+  api::Options options = partitioned_options(8 * l2, 128, 8);
+  options.gosh.large_graph.batch_B = 2;
+  options.gosh.large_graph.device_budget_bytes = 6 * l2;
+  std::vector<emb_t> one;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    options.device.workers = workers;
+    const auto result = must_embed(g, options);
+    const embedding::LevelReport& level = result.levels.front();
+    ASSERT_EQ(level.partitions, 2u);
+    EXPECT_EQ(level.blocked_parts, 3u);
+    const std::vector<emb_t> matrix(
+        result.embedding.data(),
+        result.embedding.data() + result.embedding.size());
+    if (workers == 1) {
+      one = matrix;
+    } else {
+      EXPECT_EQ(matrix, one) << workers << " workers";
+    }
+  }
+}
+
+TEST(LargeTrainer, PairKernelsOnPartsAboveFourL2sSpreadOverTheWorkers) {
+  // A flat level of 10 L2s of 512-wide rows in 2 parts of 5 L2s: a
+  // sub-part at kMaxPairSubParts would still exceed L2, so the pair
+  // kernels spread one warp per source over the worker pool, and the
+  // level reports no S. This keeps the spread pair kernel under the race
+  // detector; one worker, for the reason
+  // Trainer.MatrixAboveL2RunsOnTheWorkerPool gives. Wide rows and one
+  // negative keep the sample count small.
+  constexpr unsigned kDim = 512;
+  const std::size_t l2 = simt::core_l2_bytes();
+  const auto n = static_cast<vid_t>(10 * l2 / (kDim * sizeof(emb_t)));
+  const auto g = graph::erdos_renyi(n, 4 * eid_t{n}, 49);
+  api::Options options = partitioned_options(20 * l2, kDim, 1);
+  options.device.workers = 1;
+  options.train().negative_samples = 1;
+  options.gosh.large_graph.batch_B = 1;
+  options.gosh.large_graph.device_budget_bytes = 16 * l2;
+  const auto result = must_embed(g, options);
+  const embedding::LevelReport& level = result.levels.front();
+  ASSERT_TRUE(level.used_large_graph_path);
+  ASSERT_EQ(level.partitions, 2u);
+  EXPECT_EQ(level.pair_kernels, 3u);
+  EXPECT_EQ(largegraph::pair_sub_parts(n / 2, kDim), 0u);
+  EXPECT_EQ(level.blocked_parts, 0u);
   for (std::size_t i = 0; i < result.embedding.size(); ++i) {
     ASSERT_TRUE(std::isfinite(result.embedding.data()[i]));
   }

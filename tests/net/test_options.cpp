@@ -87,8 +87,6 @@ TEST(NetOptions, ServingBareFlagsTakeNoValue) {
 
   using Check = bool (*)(const NetOptions&);
   const std::pair<const char*, Check> kFlags[] = {
-      {"--build-index", [](const NetOptions& o) { return o.serve.build_index; }},
-      {"--metrics", [](const NetOptions& o) { return o.serve.dump_metrics; }},
       {"--cache", [](const NetOptions& o) { return o.serve.cache_enabled; }},
       {"--no-verify",
        [](const NetOptions& o) { return !o.serve.verify_checksums; }},
@@ -99,6 +97,35 @@ TEST(NetOptions, ServingBareFlagsTakeNoValue) {
     EXPECT_TRUE(is_set(bare.value())) << flag;
     EXPECT_EQ(bare.value().port, 0u) << flag;
   }
+}
+
+TEST(NetOptions, QueryModesAreRefused) {
+  // gosh_query's one-shot modes mean nothing to a server; gosh_serve
+  // refuses them on the command line, in set() and in an options file
+  // rather than accepting and never reading them.
+  for (const char* flag : {"--build-index", "--metrics", "--queries",
+                           "--eval", "--recall-floor"}) {
+    auto parsed = parse({"--store", "s", flag, "--port", "0"});
+    ASSERT_FALSE(parsed.ok()) << flag;
+    EXPECT_NE(parsed.status().message().find(flag + 2), std::string::npos)
+        << parsed.status().to_string();
+  }
+  NetOptions options;
+  for (const auto& [key, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"build-index", "true"}, {"metrics", "true"},
+           {"queries", "q.txt"}, {"eval", "10"}, {"recall-floor", "0.5"}}) {
+    EXPECT_FALSE(options.set(key, value).is_ok()) << key;
+  }
+  const std::string path = testing::TempDir() + "gosh_serve_modes.conf";
+  {
+    std::ofstream out(path);
+    out << "store=s\neval=10\n";
+  }
+  EXPECT_FALSE(NetOptions::from_file(path).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(NetOptions::table().help().find("--build-index"),
+            std::string::npos);
 }
 
 TEST(NetOptions, FromArgsRejectsWhatValidateRejects) {

@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
               result.backend.c_str(), result.total_seconds,
               result.coarsening_seconds, result.levels.size());
   // blocked_parts is K of a resident level trained in blocked passes (its
-  // matrix exceeds one core's L2), 0 for any other level.
+  // matrix exceeds one core's L2), S of a partitioned level whose pair
+  // kernels trained in blocked sub-part tasks, 0 for any other level.
   for (std::size_t i = 0; i < result.levels.size(); ++i) {
     const embedding::LevelReport& level = result.levels[i];
     std::printf("  level %zu: |V|=%u passes=%u %s blocked_parts=%u "
