@@ -3,8 +3,8 @@
 // Makes the serving path measurable the way the table/figure harnesses
 // measure the training paths: writes a synthetic embedding matrix as a
 // sharded mmap-served store, builds the HNSW index beside it, then drives
-// ServiceRegistry-created QueryService objects ("exact", "hnsw" and the
-// sharded "router", then "exact" under concurrent submitters) and reports
+// ServiceRegistry-created QueryService objects ("exact" across the store's
+// shards and "hnsw", then "exact" under concurrent submitters) and reports
 // queries/sec plus p50/p99 latency from MetricsRegistry histograms — not
 // ad-hoc averages.
 //
@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
   }
 
   // A synthetic matrix stands in for a trained embedding: throughput only
-  // depends on shape, not on training quality. Four shards so the router
-  // strategy has real groups to scatter over.
+  // depends on shape, not on training quality. Four shards so the exact
+  // scan crosses shard boundaries.
   embedding::EmbeddingMatrix matrix(rows, dim);
   matrix.initialize_random(seed);
   const std::string store_path =
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
     simd::force_isa(isa);
     const std::string isa_label(simd::isa_name(isa));
     for (const unsigned threads : thread_counts) {
-      for (const char* strategy : {"exact", "hnsw", "router"}) {
+      for (const char* strategy : {"exact", "hnsw"}) {
         serving::ServeOptions options = base;
         options.strategy = strategy;
         options.threads = threads;

@@ -3,8 +3,8 @@
 #   2. gosh_embed trains it and persists a SHARDED GSHS store,
 #   3. gosh_query builds the HNSW index beside the store,
 #   4. gosh_query serves vertex + raw-vector + multi-vector + filtered
-#      queries through every ServiceRegistry strategy (exact, hnsw, the
-#      sharded router, auto, and batched, its alias) and dumps a metrics
+#      queries through every in-process ServiceRegistry strategy (exact,
+#      hnsw, auto, and the aliases batched and router) and dumps a metrics
 #      exposition,
 #   5. gosh_query --eval checks HNSW recall against the exact scan.
 #
@@ -51,8 +51,9 @@ function(run_step label)
   message(STATUS "${label}:\n${out}")
 endfunction()
 
-# 20 rows per shard -> a 4-shard store, so the router strategy scatters
-# over real groups.
+# 20 rows per shard -> a 4-shard store, so every strategy below scans
+# across shard boundaries (router, an alias of exact, with a filter that
+# spans three shards).
 run_step("gosh_embed -> sharded store"
          ${GOSH_EMBED} --input ${edge_file} --output ${store_file}
          --format store --rows-per-shard 20 --preset fast --dim 16

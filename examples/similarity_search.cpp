@@ -2,8 +2,8 @@
 // persist it into a sharded mmap-served GSHS store, then answer KNN
 // queries through the gosh::serving service API — the full
 // train -> store -> serve pipeline in one file, with every strategy
-// created from the ServiceRegistry ("exact", "hnsw", the sharded
-// "router") answering the same QueryRequest model.
+// created from the ServiceRegistry ("exact" scanning every shard, "hnsw")
+// answering the same QueryRequest model.
 //
 //   ./similarity_search [vertices] [store_path]
 #include <cstdio>
@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
               embedded.value().total_seconds,
               embedded.value().backend.c_str());
 
-  // 2. Persist into a 3-shard store — the layout the router strategy
-  // opens as one engine per shard — and build the HNSW index beside it.
+  // 2. Persist into a 3-shard store — the layout `gosh_serve --shard I/N`
+  // children serve one shard of — and build the HNSW index beside it.
   if (api::Status status = api::write_embedding(
           embedded.value().embedding, store_path, "store",
           /*rows_per_shard=*/n / 3 + 1);
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   Rng rng(11);
   for (int i = 0; i < 3; ++i) {
     const vid_t v = rng.next_vertex(n);
-    for (const char* strategy : {"exact", "hnsw", "router"}) {
+    for (const char* strategy : {"exact", "hnsw"}) {
       serve.strategy = strategy;
       auto service = serving::make_service(serve, &metrics);
       if (!service.ok()) {

@@ -6,8 +6,6 @@
 //   largegraph  — the same pipeline with the original graph (level 0)
 //                 forced through the Algorithm 5 partitioned engine;
 //                 coarser levels keep the per-level fits-check;
-//   multidevice — data-parallel replicas with periodic model averaging
-//                 (flat: no coarsening, the multidevice::Trainer contract);
 //   verse-cpu   — the VERSE CPU baseline (flat);
 //   line-device — the GraphVite-like LINE-on-device baseline (flat; OOM is
 //                 a Status, matching the paper's Table 7 failure rows);
@@ -28,7 +26,6 @@
 #include "gosh/baselines/verse_cpu.hpp"
 #include "gosh/common/timer.hpp"
 #include "gosh/embedding/schedule.hpp"
-#include "gosh/multidevice/trainer.hpp"
 #include "gosh/simt/device.hpp"
 
 namespace gosh::api {
@@ -184,71 +181,6 @@ class GoshBackend final : public Embedder {
   Options options_;
   bool force_large_graph_;
   simt::Device device_;
-};
-
-// ---- multidevice: data-parallel replicas, flat. -------------------------
-
-class MultiDeviceBackend final : public Embedder {
- public:
-  explicit MultiDeviceBackend(const Options& options) : options_(options) {}
-
-  std::string_view name() const noexcept override { return "multidevice"; }
-
-  Result<EmbedResult> embed(const graph::Graph& graph,
-                            ProgressObserver* observer) override {
-    return guarded(name(), [&]() -> Result<EmbedResult> {
-      std::vector<std::unique_ptr<simt::Device>> owned;
-      std::vector<simt::Device*> devices;
-      owned.reserve(options_.num_devices);
-      for (unsigned replica = 0; replica < options_.num_devices; ++replica) {
-        owned.push_back(std::make_unique<simt::Device>(options_.device));
-        devices.push_back(owned.back().get());
-      }
-
-      embedding::TrainConfig train = options_.gosh.train;
-      // Replicas train on concurrent host threads; the per-epoch hook is
-      // not thread-safe across them, so ticks stay off for this backend.
-      train.on_epoch = nullptr;
-      const unsigned epochs = options_.gosh.total_epochs;
-      const unsigned passes =
-          options_.gosh.edge_epochs
-              ? embedding::epochs_to_passes(epochs,
-                                            graph.num_edges_undirected(),
-                                            graph.num_vertices())
-              : epochs;
-
-      FlatProgress progress(observer, name(), graph, epochs);
-      WallTimer total_timer;
-      multidevice::MultiDeviceTrainer trainer(
-          devices, graph, train, {.sync_interval = options_.sync_interval});
-      EmbedResult result;
-      result.embedding =
-          embedding::EmbeddingMatrix(graph.num_vertices(), train.dim);
-      result.embedding.initialize_random(train.seed);
-      // training_seconds excludes the per-replica graph uploads of trainer
-      // construction (a fixed cost that would bias replica-scaling
-      // comparisons); total_seconds includes everything.
-      WallTimer train_timer;
-      trainer.train(result.embedding, passes);
-      result.training_seconds = train_timer.seconds();
-
-      // Devices are constructed fresh per embed, so their counters cover
-      // exactly this run; the replicas' traffic sums into one snapshot.
-      for (const auto& device : owned) {
-        result.device_metrics += device->metrics().snapshot();
-      }
-
-      result.backend = std::string(name());
-      result.total_seconds = total_timer.seconds();
-      result.levels.push_back(
-          flat_report(graph, epochs, passes, result.training_seconds));
-      progress.finish(result.total_seconds);
-      return result;
-    });
-  }
-
- private:
-  Options options_;
 };
 
 // ---- verse-cpu: the paper's 1.00x CPU baseline, flat. -------------------
@@ -409,10 +341,6 @@ void register_builtin_backends(BackendRegistry& registry) {
   must(registry.add("largegraph", [](const Options& options) {
     return Result<std::unique_ptr<Embedder>>(
         std::make_unique<GoshBackend>(options, /*force_large_graph=*/true));
-  }));
-  must(registry.add("multidevice", [](const Options& options) {
-    return Result<std::unique_ptr<Embedder>>(
-        std::make_unique<MultiDeviceBackend>(options));
   }));
   must(registry.add("verse-cpu", [](const Options& options) {
     return Result<std::unique_ptr<Embedder>>(

@@ -1,11 +1,11 @@
 // Embedder — the one interface every execution engine hides behind.
 //
 // The pipeline of Akyildiz et al. is one algorithm with several engines
-// (in-GPU training, the partitioned large-graph path, multi-device
-// replicas, CPU baselines); the facade exposes them as interchangeable
-// backends constructed from the same Options and returning the same
-// EmbedResult. Backends are looked up by name in the BackendRegistry
-// (gosh/api/registry.hpp) or auto-selected by the fits-in-device policy.
+// (in-GPU training, the partitioned large-graph path, the baselines); the
+// facade exposes them as interchangeable backends constructed from the
+// same Options and returning the same EmbedResult. Backends are looked up
+// by name in the BackendRegistry (gosh/api/registry.hpp) or auto-selected
+// by the fits-in-device policy.
 #pragma once
 
 #include <memory>

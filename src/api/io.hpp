@@ -16,8 +16,9 @@ namespace gosh::api {
 /// ("store" = the shard-capable GSHS layout gosh::store serves via mmap);
 /// io and unknown-format failures come back as a Status instead of an
 /// exception. `rows_per_shard` (store format only) splits the store into
-/// `<path>.sNNNN-of-NNNN` shard files — the layout the serving Router
-/// opens as one engine per shard; 0 writes a single shard.
+/// `<path>.sNNNN-of-NNNN` shard files — the layout one exact engine scans
+/// whole and `gosh_serve --shard I/N` children serve one shard of; 0
+/// writes a single shard.
 Status write_embedding(const embedding::EmbeddingMatrix& matrix,
                        const std::string& path, const std::string& format,
                        std::uint64_t rows_per_shard = 0);

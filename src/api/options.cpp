@@ -124,9 +124,9 @@ const OptionTable<Options>& Options::table() {
                    &O::trace_out)}},
        {"backend and preset (Table 3)",
         {option<O>("backend", "NAME",
-                   "auto, device, largegraph, multidevice, verse-cpu, "
-                   "line-device or mile; auto = device when the graph fits "
-                   "in device memory, else largegraph",
+                   "auto, device, largegraph, verse-cpu, line-device or "
+                   "mile; auto = device when the graph fits in device "
+                   "memory, else largegraph",
                    &O::backend, nonempty("empty name")),
          reseeds_preset(option<O>(
              "preset", "NAME",
@@ -216,18 +216,9 @@ const OptionTable<Options>& Options::table() {
          option<O>("sgpu", "S", "S_GPU: sample-pool slots on the device",
                    at(&O::gosh, &G::large_graph, &LG::sgpu), at_least(1)),
          option<O>("batch", "B", "B: positives per vertex per sample pool",
-                   at(&O::gosh, &G::large_graph, &LG::batch_B), at_least(1)),
-         option<O>("sampler-threads", "T",
-                   "sample-pool filler threads; 0 = every worker",
-                   at(&O::gosh, &G::large_graph, &LG::sampler_threads),
-                   within(0, 1024))}},
+                   at(&O::gosh, &G::large_graph, &LG::batch_B), at_least(1))}},
        {"baseline backends",
-        {option<O>("devices", "N", "multidevice replicas", &O::num_devices,
-                   within(1, 64)),
-         option<O>("sync-interval", "N",
-                   "multidevice passes between averagings", &O::sync_interval,
-                   at_least(1)),
-         option<O>("mile-levels", "N", "mile coarsening levels",
+        {option<O>("mile-levels", "N", "mile coarsening levels",
                    &O::mile_levels, at_least(1)),
          option<O>("mile-refinement", "N", "mile refinement rounds",
                    &O::mile_refinement_rounds),

@@ -37,8 +37,8 @@ std::vector<std::string> flag_list(int argc, char** argv,
 
 struct Options {
   // ---- Facade-level selection. ------------------------------------------
-  /// Registry key ("device", "largegraph", "multidevice", "verse-cpu",
-  /// "line-device", "mile") or "auto" = the fits-in-device-memory policy.
+  /// Registry key ("device", "largegraph", "verse-cpu", "line-device",
+  /// "mile") or "auto" = the fits-in-device-memory policy.
   std::string backend = "auto";
   /// Table 3 preset seeding `gosh`: fast | normal | slow | nocoarse.
   std::string preset = "normal";
@@ -50,10 +50,6 @@ struct Options {
   embedding::GoshConfig gosh = embedding::gosh_normal();
   /// Emulated device shape; `memory_bytes` drives the fits-check.
   simt::DeviceConfig device;
-  /// Replica count for the "multidevice" backend.
-  unsigned num_devices = 2;
-  /// Passes between replica averagings ("multidevice" backend).
-  unsigned sync_interval = 32;
   /// "mile" backend tuning (paper Table 5 defaults; benches lower them at
   /// small synthetic scales).
   unsigned mile_levels = 8;
@@ -70,8 +66,8 @@ struct Options {
   bool demo = false;                        ///< generated graph, no input
   std::string output_path = "embedding.bin";
   std::string output_format = "binary";     ///< "binary" | "text" | "store"
-  /// Store format only: rows per GSHS shard file (0 = single shard). The
-  /// serving Router opens each shard as its own engine.
+  /// Store format only: rows per GSHS shard file (0 = single shard).
+  /// `gosh_serve --shard I/N` serves one shard for the dist-router.
   std::uint64_t rows_per_shard = 0;
   bool run_eval = false;                    ///< link-prediction evaluation
   bool verbose = false;                     ///< narrate progress (Info log)

@@ -1,7 +1,7 @@
 // BackendRegistry — string-keyed factory table for Embedder backends.
 //
-// Built-ins ("device", "largegraph", "multidevice", "verse-cpu",
-// "line-device", "mile") are registered the first time the singleton is
+// Built-ins ("device", "largegraph", "verse-cpu", "line-device", "mile")
+// are registered the first time the singleton is
 // touched; external code may add its own factories under new names — the
 // seam every future engine (sharded, async, real-CUDA) plugs into.
 #pragma once

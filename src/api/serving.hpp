@@ -2,8 +2,8 @@
 //
 // The public surface is gosh::serving — the QueryService interface with
 // its QueryRequest/QueryResponse model, the string-keyed ServiceRegistry
-// ("exact", "hnsw", "router", "auto", ...), structured ServeOptions, the
-// sharded-store Router, and the MetricsRegistry sink. The engine internals
+// ("exact", "hnsw", "dist-router", "auto", ...), structured ServeOptions
+// and the MetricsRegistry sink. The engine internals
 // it is built from (gosh/store/ mmap store, gosh/query/ scans + HNSW) ride
 // along for programmatic composition, but tools, benches and examples
 // should speak QueryService only.
@@ -12,7 +12,6 @@
 #include "gosh/serving/metrics.hpp"
 #include "gosh/serving/options.hpp"
 #include "gosh/serving/registry.hpp"
-#include "gosh/serving/router.hpp"
 #include "gosh/serving/service.hpp"
 
 #include "gosh/query/brute_force.hpp"

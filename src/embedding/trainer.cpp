@@ -101,11 +101,6 @@ DeviceTrainer::DeviceTrainer(simt::Device& device, const graph::Graph& graph,
 }
 
 void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs) {
-  train(matrix, epochs, 0, epochs);
-}
-
-void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
-                          unsigned lr_offset, unsigned lr_total) {
   if (matrix.rows() != graph_.num_vertices() ||
       matrix.dim() != config_.dim) {
     throw std::invalid_argument(
@@ -118,12 +113,6 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
     throw std::invalid_argument(
         "DeviceTrainer: negative_samples must be <= 64");
   }
-  if (lr_total == 0) {
-    // A zero-length decay schedule would divide 0/0 in
-    // decayed_learning_rate and train every epoch on NaN.
-    throw std::invalid_argument(
-        "DeviceTrainer: lr_total must be >= 1 when epochs > 0");
-  }
   const vid_t n = graph_.num_vertices();
 
   // Upload M once; all epochs train in place on device (Algorithm 2
@@ -133,16 +122,15 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
       std::span<const emb_t>(matrix.data(), matrix.size()));
 
   if (blocked_parts_ != 0) {
-    train_blocked(matrix_device.data(), epochs, lr_offset, lr_total);
+    train_blocked(matrix_device.data(), epochs);
   } else {
     for (unsigned epoch = 0; epoch < epochs; ++epoch) {
-      const float lr = decayed_learning_rate(config_.learning_rate,
-                                             lr_offset + epoch, lr_total);
-      const std::uint64_t epoch_seed =
-          hash_combine(config_.seed, lr_offset + epoch);
+      const float lr =
+          decayed_learning_rate(config_.learning_rate, epoch, epochs);
+      const std::uint64_t epoch_seed = hash_combine(config_.seed, epoch);
       run_epoch(matrix_device.data(), n, lr, epoch_seed);
       account_pass();
-      if (config_.on_epoch) config_.on_epoch(lr_offset + epoch, lr_total);
+      if (config_.on_epoch) config_.on_epoch(epoch, epochs);
     }
   }
 
@@ -343,13 +331,11 @@ void launch_blocked_round(simt::Device& device,
 
 }  // namespace
 
-void DeviceTrainer::train_blocked(emb_t* matrix_device, unsigned epochs,
-                                  unsigned lr_offset, unsigned lr_total) {
+void DeviceTrainer::train_blocked(emb_t* matrix_device, unsigned epochs) {
   const unsigned k = blocked_parts_;
   const BlockedSchedule schedule(graph_.num_vertices(), k);
   const auto pass_lr = [&](unsigned pass) {
-    return decayed_learning_rate(config_.learning_rate, lr_offset + pass,
-                                 lr_total);
+    return decayed_learning_rate(config_.learning_rate, pass, epochs);
   };
   BlockedRound round;
   round.xadj = device_graph_.xadj();
@@ -357,8 +343,7 @@ void DeviceTrainer::train_blocked(emb_t* matrix_device, unsigned epochs,
   round.chain = chain_.data();
   for (unsigned first = 0; first < epochs; first += k) {
     const unsigned trained = std::min(k, epochs - first);
-    const std::uint64_t cycle_seed =
-        blocked_cycle_seed(config_.seed, lr_offset + first);
+    const std::uint64_t cycle_seed = blocked_cycle_seed(config_.seed, first);
     const std::vector<std::vector<PartPair>> rounds =
         schedule.cycle(cycle_seed);
     round.cycle_draws = trained;
@@ -387,9 +372,7 @@ void DeviceTrainer::train_blocked(emb_t* matrix_device, unsigned epochs,
       }
       if (!training) continue;
       account_pass();
-      if (config_.on_epoch) {
-        config_.on_epoch(lr_offset + first + r, lr_total);
-      }
+      if (config_.on_epoch) config_.on_epoch(first + r, epochs);
     }
   }
 }

@@ -148,13 +148,10 @@ class DeviceTrainer {
   DeviceTrainer(simt::Device& device, const graph::Graph& graph,
                 const TrainConfig& config);
 
-  /// Runs `epochs` training epochs over `matrix` (Algorithm 3). The host
-  /// matrix is uploaded once, trained on device, and downloaded at the
-  /// end. `lr_offset`/`lr_total` position this call inside the level's
-  /// decay schedule when training is split across calls.
+  /// Runs `epochs` training epochs over `matrix` (Algorithm 3), the
+  /// learning rate decaying over exactly those epochs. The host matrix is
+  /// uploaded once, trained on device, and downloaded at the end.
   void train(EmbeddingMatrix& matrix, unsigned epochs);
-  void train(EmbeddingMatrix& matrix, unsigned epochs, unsigned lr_offset,
-             unsigned lr_total);
 
   const TrainConfig& config() const noexcept { return config_; }
 
@@ -168,8 +165,7 @@ class DeviceTrainer {
  private:
   void run_epoch(emb_t* matrix_device, vid_t num_vertices, float lr,
                  std::uint64_t epoch_seed);
-  void train_blocked(emb_t* matrix_device, unsigned epochs,
-                     unsigned lr_offset, unsigned lr_total);
+  void train_blocked(emb_t* matrix_device, unsigned epochs);
   void account_pass();
 
   simt::Device& device_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "gosh/common/parallel_for.hpp"
 #include "gosh/common/rng.hpp"
 #include "gosh/largegraph/rotation.hpp"
 
@@ -32,7 +31,6 @@ PairSamples SampleManager::make_pool(const graph::Graph& graph,
                                      const PartitionPlan& plan,
                                      unsigned rotation, unsigned part_a,
                                      unsigned part_b, unsigned batch_B,
-                                     unsigned sampler_threads,
                                      std::uint64_t seed) {
   PairSamples pool;
   pool.rotation = rotation;
@@ -48,47 +46,36 @@ PairSamples SampleManager::make_pool(const graph::Graph& graph,
                              (static_cast<std::uint64_t>(part_a) << 16) |
                              part_b);
 
-  ParallelForOptions options;
-  options.threads = std::max(1u, sampler_threads);
-  options.grain = 512;
-
   pool.a_from_b.resize(static_cast<std::size_t>(a_size) * batch_B);
-  parallel_for(
-      a_size,
-      [&](std::size_t i) {
-        const vid_t v = a_begin + static_cast<vid_t>(i);
-        Rng rng(hash_combine(pool_seed, v));
-        sample_from_part(graph, v, b_begin, plan.part_end(part_b), batch_B,
-                         rng, pool.a_from_b.data() + i * batch_B);
-      },
-      options);
+  for (std::size_t i = 0; i < a_size; ++i) {
+    const vid_t v = a_begin + static_cast<vid_t>(i);
+    Rng rng(hash_combine(pool_seed, v));
+    sample_from_part(graph, v, b_begin, plan.part_end(part_b), batch_B, rng,
+                     pool.a_from_b.data() + i * batch_B);
+  }
 
   if (part_a != part_b) {
     pool.b_from_a.resize(static_cast<std::size_t>(b_size) * batch_B);
-    parallel_for(
-        b_size,
-        [&](std::size_t i) {
-          const vid_t v = b_begin + static_cast<vid_t>(i);
-          // Offset the stream id so the two directions are decorrelated.
-          Rng rng(hash_combine(pool_seed, static_cast<std::uint64_t>(v) |
-                                              (1ull << 40)));
-          sample_from_part(graph, v, a_begin, plan.part_end(part_a), batch_B,
-                           rng, pool.b_from_a.data() + i * batch_B);
-        },
-        options);
+    for (std::size_t i = 0; i < b_size; ++i) {
+      const vid_t v = b_begin + static_cast<vid_t>(i);
+      // Offset the stream id so the two directions are decorrelated.
+      Rng rng(hash_combine(pool_seed,
+                           static_cast<std::uint64_t>(v) | (1ull << 40)));
+      sample_from_part(graph, v, a_begin, plan.part_end(part_a), batch_B, rng,
+                       pool.b_from_a.data() + i * batch_B);
+    }
   }
   return pool;
 }
 
 SampleManager::SampleManager(const graph::Graph& graph,
                              const PartitionPlan& plan, unsigned batch_B,
-                             unsigned rotations, unsigned sampler_threads,
-                             std::uint64_t seed, std::size_t queue_capacity)
+                             unsigned rotations, std::uint64_t seed,
+                             std::size_t queue_capacity)
     : graph_(graph),
       plan_(plan),
       batch_B_(batch_B),
       rotations_(rotations),
-      sampler_threads_(sampler_threads),
       seed_(seed),
       queue_capacity_(std::max<std::size_t>(1, queue_capacity)),
       producer_([this] { producer_loop(); }) {}
@@ -117,8 +104,8 @@ void SampleManager::producer_loop() {
   const auto pairs = rotation_pairs(plan_.num_parts());
   for (unsigned r = 0; r < rotations_; ++r) {
     for (const auto& [a, b] : pairs) {
-      auto pool = std::make_unique<PairSamples>(make_pool(
-          graph_, plan_, r, a, b, batch_B_, sampler_threads_, seed_));
+      auto pool = std::make_unique<PairSamples>(
+          make_pool(graph_, plan_, r, a, b, batch_B_, seed_));
       common::UniqueLock lock(mutex_);
       while (queue_.size() >= queue_capacity_ && !stopping_) {
         not_full_.wait(lock);

@@ -11,8 +11,10 @@
 //
 // SampleManager runs a producer thread ahead of the trainer, filling pools
 // for the pair sequence of all rotations in order into a bounded queue
-// whose capacity models the host-side staging buffer of Figure 2; a team
-// of `sampler_threads` workers parallelizes each pool's fill.
+// whose capacity models the host-side staging buffer of Figure 2. The
+// producer fills each pool alone: one thread keeps ahead of the pair
+// kernels, and every vertex draws from its own seeded stream, so a pool
+// does not depend on who fills it.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +46,8 @@ class SampleManager {
   /// Starts the producer. It will generate pools for `rotations` full
   /// rotations over the plan's parts, in rotation-pair order.
   SampleManager(const graph::Graph& graph, const PartitionPlan& plan,
-                unsigned batch_B, unsigned rotations, unsigned sampler_threads,
-                std::uint64_t seed, std::size_t queue_capacity);
+                unsigned batch_B, unsigned rotations, std::uint64_t seed,
+                std::size_t queue_capacity);
 
   /// Joins the producer (draining any unconsumed pools).
   ~SampleManager();
@@ -57,13 +59,12 @@ class SampleManager {
   /// nullptr once all rotations have been produced and consumed.
   std::unique_ptr<PairSamples> next_pool();
 
-  /// Fills one pool synchronously — the building block the producer uses;
-  /// exposed for tests and for single-threaded fallbacks.
+  /// Fills one pool on the calling thread — the building block the
+  /// producer uses; exposed for tests.
   static PairSamples make_pool(const graph::Graph& graph,
                                const PartitionPlan& plan, unsigned rotation,
                                unsigned part_a, unsigned part_b,
-                               unsigned batch_B, unsigned sampler_threads,
-                               std::uint64_t seed);
+                               unsigned batch_B, std::uint64_t seed);
 
  private:
   void producer_loop();
@@ -72,7 +73,6 @@ class SampleManager {
   const PartitionPlan& plan_;
   unsigned batch_B_;
   unsigned rotations_;
-  unsigned sampler_threads_;
   std::uint64_t seed_;
   std::size_t queue_capacity_;
 

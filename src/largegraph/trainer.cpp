@@ -412,7 +412,7 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
   for (unsigned s = 0; s < config_.sgpu; ++s) free_pool_slots.push_back(s);
 
   SampleManager sample_manager(graph_, plan_, config_.batch_B, rotations,
-                               config_.sampler_threads, train_config_.seed,
+                               train_config_.seed,
                                /*queue_capacity=*/config_.sgpu);
 
   // PoolManager: moves ready host pools into free device slots, preserving

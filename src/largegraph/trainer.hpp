@@ -53,7 +53,6 @@ struct LargeGraphConfig {
   unsigned pgpu = 3;            ///< sub-matrix slots on device (paper: 3)
   unsigned sgpu = 4;            ///< sample-pool slots on device (paper: 4)
   unsigned batch_B = 5;         ///< positives per vertex per pool (paper: 5)
-  unsigned sampler_threads = 0; ///< SampleManager team; 0 = all host workers
   /// Device bytes the planner may use; 0 = the device's free memory at
   /// trainer construction (minus nothing — the caller budgets headroom).
   std::size_t device_budget_bytes = 0;

@@ -1,16 +1,63 @@
 #include "gosh/serving/dist_router.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "gosh/common/timer.hpp"
 #include "gosh/net/json.hpp"
 #include "gosh/net/query_handler.hpp"
-#include "gosh/serving/merge.hpp"
 #include "gosh/trace/trace.hpp"
 
 namespace gosh::serving {
+
+namespace {
+
+/// K-way merge of per-shard sorted partials into one global top-k. Shard
+/// ids are local; `row_begin[c]` rebases them. Ties resolve by
+/// query::better's global (score desc, id asc) order, so the merge is
+/// bit-identical to sorting one unsharded scan.
+std::vector<Neighbor> merge_top_k(
+    const std::vector<std::vector<Neighbor>>& partials,
+    const std::vector<vid_t>& row_begin, unsigned k) {
+  struct Cursor {
+    std::size_t child;
+    std::size_t pos;
+    Neighbor head;  ///< already rebased to global ids
+  };
+  const auto worse = [](const Cursor& a, const Cursor& b) {
+    return query::better(b.head, a.head);  // min-heap on `better`
+  };
+  std::vector<Cursor> heap;
+  heap.reserve(partials.size());
+  for (std::size_t c = 0; c < partials.size(); ++c) {
+    if (partials[c].empty()) continue;
+    Neighbor head = partials[c][0];
+    head.id += row_begin[c];
+    heap.push_back({c, 0, head});
+  }
+  std::make_heap(heap.begin(), heap.end(), worse);
+
+  std::vector<Neighbor> merged;
+  merged.reserve(k);
+  while (!heap.empty() && merged.size() < k) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    Cursor cursor = heap.back();
+    heap.pop_back();
+    merged.push_back(cursor.head);
+    if (++cursor.pos < partials[cursor.child].size()) {
+      cursor.head = partials[cursor.child][cursor.pos];
+      cursor.head.id += row_begin[cursor.child];
+      heap.push_back(cursor);
+      std::push_heap(heap.begin(), heap.end(), worse);
+    }
+  }
+  return merged;
+}
+
+}  // namespace
 
 api::Result<std::unique_ptr<DistRouter>> DistRouter::open(
     std::vector<std::vector<Endpoint>> groups, const ServeOptions& options,
@@ -37,7 +84,7 @@ api::Result<std::unique_ptr<DistRouter>> DistRouter::open(
                                           "QueryService requests served");
     router->scattered_ =
         &metrics->counter("gosh_serving_router_scatters_total",
-                          "Per-shard engine calls the Router fanned out");
+                          "Per-shard calls the dist-router fanned out");
     router->degraded_total_ = &metrics->counter(
         "gosh_remote_degraded_responses_total",
         "Scatters answered from a partial merge (a shard was down)");
@@ -229,8 +276,8 @@ api::Result<QueryResponse> DistRouter::serve(const QueryRequest& request) {
         "--require-all-shards: partial merge refused — " + missing);
   }
 
-  // Merge over the shards that DID answer — the same k-way merge the
-  // in-process Router runs, so a full scatter is bit-identical to it.
+  // Merge over the shards that DID answer. A full scatter is
+  // bit-identical to one exact scan of the unsharded store.
   std::vector<vid_t> row_begins;
   std::vector<ShardCall*> answered;
   row_begins.reserve(shards_.size());

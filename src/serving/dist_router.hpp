@@ -1,12 +1,13 @@
-// DistRouter — the Router's distributed twin: scatter to REMOTE shard
+// DistRouter — sharded serving across processes: scatter to REMOTE shard
 // children, merge partials, degrade instead of dying.
 //
-// The in-process Router opens every shard of a sharded store as its own
-// engine; the DistRouter instead points one ReplicaSet per shard at child
-// gosh_serve processes started with `--shard I/N` (each answering in its
-// shard's LOCAL ids) and scatters each request over HTTP, one bounded
-// worker per shard. The merge is the SAME merge_top_k the Router uses, so
-// with every shard healthy the two strategies answer bit-identically.
+// Inside one process a sharded store needs no router: one exact engine
+// scans every shard. The DistRouter points one ReplicaSet per shard at
+// child gosh_serve processes started with `--shard I/N` (each answering
+// in its shard's LOCAL ids) and scatters each request over HTTP, one
+// bounded worker per shard. Its k-way merge orders by the global (score
+// desc, id asc) order, so with every shard healthy it answers
+// bit-identically to one exact scan of the unsharded store.
 //
 // When a shard cannot answer inside the deadline budget (process killed,
 // chaos-stalled, breaker open), the DistRouter merges what DID arrive and
@@ -17,8 +18,7 @@
 //
 // The parent still needs the store FILES (not the payload in RAM): vertex
 // queries must be resolved to raw vectors before the scatter — a child
-// only knows local ids — so each shard is mmapped lazily for row_vector,
-// the same pages the Router would touch for the same queries.
+// only knows local ids — so each shard is mmapped lazily for row_vector.
 #pragma once
 
 #include <memory>

@@ -101,8 +101,8 @@ const api::OptionTable<ServeOptions>& ServeOptions::table() {
          option<S>("index", "PATH", "HNSW index file; empty = STORE.hnsw",
                    &S::index_path),
          option<S>("strategy", "S",
-                   "exact, hnsw, router, dist-router, remote:LIST, cached:S "
-                   "or auto; auto = hnsw when the index exists, else exact "
+                   "exact, hnsw, dist-router, remote:LIST, cached:S or auto; "
+                   "auto = hnsw when the index exists, else exact "
                    "(batched = auto)",
                    &S::strategy, api::nonempty("empty name")),
          pair_row("shard", "I/N",

@@ -25,12 +25,13 @@ namespace gosh::serving {
 
 struct ServeOptions {
   // ---- Service selection. ----------------------------------------------
-  /// ServiceRegistry key ("exact", "hnsw", "router", ...) or "auto" = the
-  /// index-present policy (hnsw when the index file exists beside the
-  /// store, exact otherwise; "batched" is an alias of "auto").
+  /// ServiceRegistry key ("exact", "hnsw", "dist-router", ...) or "auto" =
+  /// the index-present policy (hnsw when the index file exists beside the
+  /// store, exact otherwise; "batched" is an alias of "auto", "router" of
+  /// "exact").
   std::string strategy = "auto";
-  /// Store root path ("--store"); every service opens it (the Router opens
-  /// each shard of it separately).
+  /// Store root path ("--store"); every service opens it (the dist-router
+  /// maps each shard of it separately to resolve vertex queries).
   std::string store_path;
   /// HNSW index path; empty = "<store>.hnsw" beside the store.
   std::string index_path;

@@ -8,7 +8,6 @@
 #include "gosh/cache/cached_service.hpp"
 #include "gosh/serving/dist_router.hpp"
 #include "gosh/serving/remote.hpp"
-#include "gosh/serving/router.hpp"
 
 namespace gosh::serving {
 
@@ -25,14 +24,9 @@ void register_builtin_services(ServiceRegistry& registry) {
   };
   (void)registry.add("exact", engine_factory(query::Strategy::kExact));
   (void)registry.add("hnsw", engine_factory(query::Strategy::kHnsw));
-  (void)registry.add(
-      "router",
-      [](const ServeOptions& options, MetricsRegistry* metrics)
-          -> api::Result<std::unique_ptr<QueryService>> {
-        auto service = Router::open(options, metrics);
-        if (!service.ok()) return service.status();
-        return std::unique_ptr<QueryService>(std::move(service).value());
-      });
+  // "router" names the exact scan: one engine already scans every shard
+  // of a sharded store, so an in-process scatter would only repeat it.
+  (void)registry.add("router", engine_factory(query::Strategy::kExact));
   // "remote" forwards to replicas of one logical backend over HTTP; the
   // endpoint list comes from --backends (the "remote:<host:port,...>"
   // prefix form is resolved in ServiceRegistry::create before this
@@ -57,7 +51,7 @@ void register_builtin_services(ServiceRegistry& registry) {
         return std::unique_ptr<QueryService>(std::move(service).value());
       });
   // "dist-router" scatters to remote shard children (one --backends group
-  // per shard) and k-way merges exactly like the in-process "router".
+  // per shard) and k-way merges their partials into the exact answer.
   (void)registry.add(
       "dist-router",
       [](const ServeOptions& options, MetricsRegistry* metrics)
@@ -127,7 +121,7 @@ api::Result<std::unique_ptr<QueryService>> ServiceRegistry::create(
     std::string_view name, const ServeOptions& options,
     MetricsRegistry* metrics) const {
   // "cached:<inner>" composes rather than registers: resolve the inner
-  // strategy through the registry (so cached:auto, cached:router etc. all
+  // strategy through the registry (so cached:auto, cached:hnsw etc. all
   // work), then wrap it behind the semantic cache. One level only — a
   // second cache layer would double-count every hit.
   // "remote:<host:port,...>" is the endpoint-in-the-name sugar: rewrite

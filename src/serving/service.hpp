@@ -7,7 +7,7 @@
 // queries — each a stored vertex (self-excluded from its own answer) or
 // one-or-more raw vectors scored jointly — plus per-request overrides
 // (k, ef, metric) and an optional vertex-filter predicate; every strategy
-// ("exact", "hnsw", the sharded Router, ...) answers the same model, so
+// ("exact", "hnsw", the sharded dist-router, ...) answers the same model, so
 // callers pick a strategy by registry key, not by API shape.
 #pragma once
 
@@ -71,7 +71,7 @@ struct QueryRequest {
   std::optional<Metric> metric;
   Aggregate aggregate = Aggregate::kMax;  ///< multi-vector combine rule
   /// Only ids passing the predicate may appear in answers (global ids,
-  /// also under the sharded Router). Empty = no filter.
+  /// also under the sharded dist-router). Empty = no filter.
   RowFilter filter;
   /// The structured [begin, end) range behind `filter`, when the filter
   /// came off the wire or a --filter flag (0,0 = not expressible as a

@@ -20,19 +20,6 @@ struct MetricsSnapshot {
   std::uint64_t warps_executed = 0;
   std::uint64_t global_accesses = 0;  ///< element reads+writes to device memory
   std::uint64_t shared_accesses = 0;  ///< element reads+writes staged per warp
-
-  /// Field-wise sum — how multi-device callers fold replica snapshots
-  /// into one report. Lives next to the fields so adding a counter here
-  /// cannot be forgotten in the aggregation.
-  MetricsSnapshot& operator+=(const MetricsSnapshot& other) noexcept {
-    h2d_bytes += other.h2d_bytes;
-    d2h_bytes += other.d2h_bytes;
-    kernels_launched += other.kernels_launched;
-    warps_executed += other.warps_executed;
-    global_accesses += other.global_accesses;
-    shared_accesses += other.shared_accesses;
-    return *this;
-  }
 };
 
 class Metrics {

@@ -60,8 +60,8 @@ struct OpenOptions {
 };
 
 /// Header-only facts about a store, readable without mapping any payload
-/// (one 4 KiB read of shard 0). The serving Router uses it to discover the
-/// shard layout before opening each shard as its own engine.
+/// (one 4 KiB read of shard 0). The dist-router uses it to discover the
+/// shard layout before mapping each shard on its own.
 struct StoreInfo {
   std::uint64_t rows = 0;
   unsigned dim = 0;
@@ -96,8 +96,8 @@ class EmbeddingStore {
   /// Maps ONE shard (`index` of `count`, as probe() reported) of the store
   /// rooted at `base` as its own single-shard store: rows() is that
   /// shard's row count, row(0) is global row row_begin(). This is the
-  /// Router's unit — each shard group becomes an independent engine whose
-  /// local ids the caller maps back by adding row_begin().
+  /// sharded serving unit: a `--shard I/N` child serves it as an engine
+  /// in local ids, which the dist-router maps back by adding row_begin().
   static api::Result<EmbeddingStore> open_shard(const std::string& base,
                                                 std::uint32_t index,
                                                 std::uint32_t count,

@@ -45,8 +45,7 @@ const Pairs kApiSamples = {
     {"memory-fraction", "0.5"},    {"coarsening", "false"},
     {"coarsening-threshold", "50"}, {"coarsening-threads", "2"},
     {"pgpu", "4"},                 {"sgpu", "6"},
-    {"batch", "9"},                {"sampler-threads", "2"},
-    {"devices", "4"},              {"sync-interval", "8"},
+    {"batch", "9"},
     {"mile-levels", "3"},          {"mile-refinement", "1"},
     {"verse-similarity", "adjacency"}, {"verse-lr", "0.01"},
 };
@@ -198,7 +197,7 @@ TEST(OptionTables, KeySetsMatchTheirLiteralLists) {
     }
   }
   expect_key_sets(net::NetOptions::table(), net, {"no-verify"});
-  EXPECT_EQ(kApiSamples.size(), 36u);
+  EXPECT_EQ(kApiSamples.size(), 33u);
   EXPECT_EQ(kServeSamples.size(), 33u);
   EXPECT_EQ(kNetSamples.size(), 23u);
 }

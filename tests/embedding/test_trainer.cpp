@@ -254,8 +254,8 @@ TEST(Trainer, RejectsMismatchedMatrixShape) {
 }
 
 TEST(Trainer, RejectsZeroEpochSchedules) {
-  // epochs = 0 and lr_total = 0 used to reach decayed_learning_rate as
-  // 0/0 and train on NaN; both are invalid arguments now.
+  // epochs = 0 used to reach decayed_learning_rate as 0/0 and train on
+  // NaN; it is an invalid argument now.
   simt::Device device(test_device_config());
   const auto g = two_cliques();
   TrainConfig config;
@@ -264,8 +264,6 @@ TEST(Trainer, RejectsZeroEpochSchedules) {
   EmbeddingMatrix m(g.num_vertices(), 16);
   m.initialize_random(15);
   EXPECT_THROW(trainer.train(m, 0), std::invalid_argument);
-  EXPECT_THROW(trainer.train(m, 5, /*lr_offset=*/0, /*lr_total=*/0),
-               std::invalid_argument);
 }
 
 TEST(Trainer, RejectsTooManyNegativeSamples) {

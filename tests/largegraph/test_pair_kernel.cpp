@@ -356,8 +356,8 @@ std::vector<emb_t> reference_partitioned(const AboveL2Level& level,
                  (a == b ? 0 : plan.part_size(b))) *
                     d * sizeof(emb_t),
                 l2);
-      const PairSamples pool = SampleManager::make_pool(
-          g, plan, r, a, b, batch, 1, config.seed);
+      const PairSamples pool =
+          SampleManager::make_pool(g, plan, r, a, b, batch, config.seed);
       const std::uint64_t seed = hash_combine(
           config.seed, (std::uint64_t{r} << 32) | (std::uint64_t{a} << 16) | b);
       // Sub-part j of `part`: rows [first, last).

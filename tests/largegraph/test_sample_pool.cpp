@@ -23,7 +23,7 @@ TEST(MakePool, SamplesAreNeighborsInPartnerPart) {
   const auto g = graph::rmat(9, 3000, 31);
   const auto plan = manual_plan(g.num_vertices(), 4);
   const unsigned B = 3;
-  const auto pool = SampleManager::make_pool(g, plan, 0, 2, 1, B, 1, 7);
+  const auto pool = SampleManager::make_pool(g, plan, 0, 2, 1, B, 7);
   EXPECT_EQ(pool.part_a, 2u);
   EXPECT_EQ(pool.part_b, 1u);
   ASSERT_EQ(pool.a_from_b.size(),
@@ -45,7 +45,7 @@ TEST(MakePool, InvalidWhenNoNeighborInPart) {
   // yields kInvalidVertex for vertex 0.
   const auto g = graph::path_graph(100);
   const auto plan = manual_plan(100, 4);
-  const auto pool = SampleManager::make_pool(g, plan, 0, 3, 0, 2, 1, 7);
+  const auto pool = SampleManager::make_pool(g, plan, 0, 3, 0, 2, 7);
   // part 3 = vertices 75..99; none is adjacent to part 0 (0..24) except
   // via the chain — no direct edges cross, so ALL entries are invalid.
   for (vid_t id : pool.a_from_b) EXPECT_EQ(id, kInvalidVertex);
@@ -54,7 +54,7 @@ TEST(MakePool, InvalidWhenNoNeighborInPart) {
 TEST(MakePool, DiagonalHasOneDirection) {
   const auto g = graph::rmat(8, 1000, 32);
   const auto plan = manual_plan(g.num_vertices(), 3);
-  const auto pool = SampleManager::make_pool(g, plan, 0, 1, 1, 2, 1, 7);
+  const auto pool = SampleManager::make_pool(g, plan, 0, 1, 1, 2, 7);
   EXPECT_FALSE(pool.a_from_b.empty());
   EXPECT_TRUE(pool.b_from_a.empty());
 }
@@ -62,8 +62,8 @@ TEST(MakePool, DiagonalHasOneDirection) {
 TEST(MakePool, DeterministicInSeed) {
   const auto g = graph::rmat(8, 1000, 33);
   const auto plan = manual_plan(g.num_vertices(), 2);
-  const auto a = SampleManager::make_pool(g, plan, 1, 1, 0, 4, 1, 9);
-  const auto b = SampleManager::make_pool(g, plan, 1, 1, 0, 4, 1, 9);
+  const auto a = SampleManager::make_pool(g, plan, 1, 1, 0, 4, 9);
+  const auto b = SampleManager::make_pool(g, plan, 1, 1, 0, 4, 9);
   EXPECT_EQ(a.a_from_b, b.a_from_b);
   EXPECT_EQ(a.b_from_a, b.b_from_a);
 }
@@ -72,7 +72,7 @@ TEST(SampleManager, DeliversAllPoolsInRotationOrder) {
   const auto g = graph::rmat(8, 1000, 34);
   const auto plan = manual_plan(g.num_vertices(), 3);
   const unsigned rotations = 2;
-  SampleManager manager(g, plan, 2, rotations, 1, 5, 4);
+  SampleManager manager(g, plan, 2, rotations, 5, 4);
   const auto expected_pairs = rotation_pairs(3);
   for (unsigned r = 0; r < rotations; ++r) {
     for (const auto& [a, b] : expected_pairs) {
@@ -90,7 +90,7 @@ TEST(SampleManager, DestructorSafeWithUnconsumedPools) {
   const auto g = graph::rmat(8, 1000, 35);
   const auto plan = manual_plan(g.num_vertices(), 4);
   {
-    SampleManager manager(g, plan, 2, 3, 1, 5, 2);
+    SampleManager manager(g, plan, 2, 3, 5, 2);
     // Consume only one pool, then destroy: must not deadlock.
     ASSERT_NE(manager.next_pool(), nullptr);
   }
@@ -100,7 +100,7 @@ TEST(SampleManager, DestructorSafeWithUnconsumedPools) {
 TEST(SampleManager, BoundedQueueBlocksProducer) {
   const auto g = graph::rmat(8, 1000, 36);
   const auto plan = manual_plan(g.num_vertices(), 4);
-  SampleManager manager(g, plan, 2, 1, 1, 5, /*queue_capacity=*/1);
+  SampleManager manager(g, plan, 2, 1, 5, /*queue_capacity=*/1);
   // With capacity 1 the producer can be at most one pool ahead; consuming
   // them all still yields the full ordered sequence.
   std::size_t count = 0;

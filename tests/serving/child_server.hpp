@@ -22,8 +22,11 @@ namespace gosh::serving {
 
 class ChildServer {
  public:
+  /// An HTTP worker owns one connection at a time, so a child needs one
+  /// worker per concurrent caller to answer them all at once.
   explicit ChildServer(const ServeOptions& serve,
-                       const net::FaultOptions& chaos = {})
+                       const net::FaultOptions& chaos = {},
+                       unsigned http_threads = 2)
       : chaos_(chaos) {
     auto service = make_service(serve, &metrics_);
     EXPECT_TRUE(service.ok()) << service.status().to_string();
@@ -37,7 +40,7 @@ class ChildServer {
     health_.ready.store(true, std::memory_order_release);
     net_options_.host = "127.0.0.1";
     net_options_.port = 0;  // ephemeral on the FIRST start, pinned after
-    net_options_.threads = 2;
+    net_options_.threads = http_threads;
     start();
   }
 

@@ -1,7 +1,9 @@
 // DistRouter — scatter to remote shard children must be indistinguishable
-// from the in-process Router when every shard answers, degrade to an
-// annotated partial merge when one dies, and recover bit-identically once
-// the child is back (suite DistRouter* is in the TSan CI filter).
+// from one exact scan of the unsharded store when every shard answers
+// (same ids, same scores, same (score desc, id asc) tie handling, under
+// every metric), degrade to an annotated partial merge when one dies, and
+// recover bit-identically once the child is back (suite DistRouter* is in
+// the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,15 +18,14 @@
 
 #include "child_server.hpp"
 #include "gosh/serving/dist_router.hpp"
-#include "gosh/serving/router.hpp"
 
 namespace gosh::serving {
 namespace {
 
-/// The test_router fixture shape: one matrix written sharded (3 shards)
-/// and flat, with deliberate cross-shard duplicate rows so merges carry
-/// score ties the (score desc, id asc) order must break identically on
-/// both sides of the wire.
+/// One matrix written sharded (3 shards: [0, 34), [34, 68), [68, 99)) and
+/// flat, with deliberate cross-shard duplicate rows so merges carry score
+/// ties the (score desc, id asc) order must break identically on both
+/// sides of the wire: whichever shard served a tie, the lower id wins.
 struct DistFixture {
   std::string sharded_path;
   std::string flat_path;
@@ -78,6 +79,15 @@ struct DistFixture {
     return serve;
   }
 
+  /// The reference: one exact engine over the unsharded store.
+  ServeOptions flat_options() const {
+    ServeOptions serve;
+    serve.store_path = flat_path;
+    serve.strategy = "exact";
+    serve.k = 12;
+    return serve;
+  }
+
   /// The dist-router parent's options; timings tuned so a dead child
   /// fails fast and the breaker can be closed again within a test.
   ServeOptions parent_options() const {
@@ -97,9 +107,10 @@ struct DistFixture {
 struct ChildSet {
   std::vector<std::unique_ptr<ChildServer>> children;
 
-  explicit ChildSet(const DistFixture& fx) {
+  explicit ChildSet(const DistFixture& fx, unsigned http_threads = 2) {
     for (std::uint32_t s = 0; s < fx.shard_count; ++s) {
-      children.push_back(std::make_unique<ChildServer>(fx.child_options(s)));
+      children.push_back(std::make_unique<ChildServer>(
+          fx.child_options(s), net::FaultOptions{}, http_threads));
     }
   }
 
@@ -131,7 +142,11 @@ void expect_identical(const std::vector<query::Neighbor>& got,
   }
 }
 
-TEST(DistRouter, MatchesTheInProcessRouterBitIdentically) {
+/// Tie-heavy vertex probes (duplicated rows 0/33, 10/43) and shard-edge
+/// ids.
+constexpr vid_t kProbes[] = {0, 10, 32, 33, 43, 98};
+
+TEST(DistRouter, MatchesTheExactScanBitIdentically) {
   DistFixture fx;
   ChildSet set(fx);
   MetricsRegistry metrics;
@@ -141,26 +156,52 @@ TEST(DistRouter, MatchesTheInProcessRouterBitIdentically) {
   EXPECT_EQ(dist.value()->rows(), fx.rows);
   EXPECT_EQ(dist.value()->dim(), fx.dim);
 
-  ServeOptions local_options = fx.parent_options();
-  local_options.strategy = "router";
-  auto router = make_service(local_options);
-  ASSERT_TRUE(router.ok()) << router.status().to_string();
+  auto exact = make_service(fx.flat_options());
+  ASSERT_TRUE(exact.ok()) << exact.status().to_string();
 
-  // Tie-heavy vertex probes and shard-edge ids — the Router suite's set.
-  for (const vid_t probe : {0u, 10u, 32u, 33u, 43u, 98u}) {
-    auto remote = dist.value()->top_k_vertex(probe, 12);
-    auto local = router.value()->top_k_vertex(probe, 12);
-    ASSERT_TRUE(remote.ok()) << remote.status().to_string();
-    ASSERT_TRUE(local.ok());
-    expect_identical(remote.value(), local.value(),
-                     "vertex " + std::to_string(probe));
+  // Rows resolve from the owning shard's file on both sides of each edge.
+  auto flat = store::EmbeddingStore::open(fx.flat_path);
+  ASSERT_TRUE(flat.ok()) << flat.status().to_string();
+  for (const vid_t v : {0u, 33u, 34u, 67u, 68u, 98u}) {
+    auto row = dist.value()->row_vector(v);
+    ASSERT_TRUE(row.ok()) << "vertex " << v;
+    const auto expected = flat.value().row(v);
+    ASSERT_EQ(row.value().size(), expected.size());
+    for (std::size_t d = 0; d < expected.size(); ++d) {
+      EXPECT_EQ(row.value()[d], expected[d]) << "vertex " << v;
+    }
   }
-  auto vec = router.value()->row_vector(50);
+  EXPECT_FALSE(dist.value()->row_vector(fx.rows).ok());
+
+  // Every metric rides request.metric to the children; each request
+  // scatters to every shard exactly once.
+  Counter& scatters = metrics.counter("gosh_serving_router_scatters_total");
+  const auto expect_same = [&](const QueryRequest& request,
+                               const std::string& what) {
+    const std::uint64_t before = scatters.value();
+    auto remote = dist.value()->serve(request);
+    auto local = exact.value()->serve(request);
+    ASSERT_TRUE(remote.ok()) << what << ": " << remote.status().to_string();
+    ASSERT_TRUE(local.ok()) << what << ": " << local.status().to_string();
+    EXPECT_FALSE(remote.value().degraded) << what;
+    expect_identical(remote.value().results.front(),
+                     local.value().results.front(), what);
+    EXPECT_EQ(scatters.value(), before + fx.shard_count) << what;
+  };
+  auto vec = exact.value()->row_vector(50);
   ASSERT_TRUE(vec.ok());
-  auto remote = dist.value()->top_k(vec.value(), 12);
-  auto local = router.value()->top_k(vec.value(), 12);
-  ASSERT_TRUE(remote.ok() && local.ok());
-  expect_identical(remote.value(), local.value(), "raw vector");
+  for (const query::Metric metric :
+       {query::Metric::kCosine, query::Metric::kDot, query::Metric::kL2}) {
+    const std::string name(query::metric_name(metric));
+    for (const vid_t probe : kProbes) {
+      QueryRequest request = QueryRequest::for_vertex(probe, 12);
+      request.metric = metric;
+      expect_same(request, name + " vertex " + std::to_string(probe));
+    }
+    QueryRequest raw = QueryRequest::for_vector(vec.value(), 12);
+    raw.metric = metric;
+    expect_same(raw, name + " raw vector");
+  }
 
   // A healthy scatter is not degraded, and says who answered each shard.
   auto response = dist.value()->serve(QueryRequest::for_vertex(5, 12));
@@ -176,15 +217,48 @@ TEST(DistRouter, MatchesTheInProcessRouterBitIdentically) {
             0u);
 }
 
+TEST(DistRouter, ConcurrentServeMatchesTheExactScan) {
+  constexpr int kSubmitters = 4;
+  DistFixture fx;
+  ChildSet set(fx, /*http_threads=*/kSubmitters);
+  auto dist = DistRouter::open(set.groups(), fx.parent_options(), nullptr);
+  ASSERT_TRUE(dist.ok()) << dist.status().to_string();
+  auto exact = make_service(fx.flat_options());
+  ASSERT_TRUE(exact.ok()) << exact.status().to_string();
+
+  std::vector<std::vector<query::Neighbor>> expected;
+  for (const vid_t probe : kProbes) {
+    auto answer = exact.value()->top_k_vertex(probe, 12);
+    ASSERT_TRUE(answer.ok());
+    expected.push_back(std::move(answer).value());
+  }
+
+  // The submitters share the router and its replica sets; every answer
+  // must still be the exact scan's.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&dist, &expected, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (std::size_t p = 0; p < std::size(kProbes); ++p) {
+          auto answer = dist.value()->top_k_vertex(kProbes[p], 12);
+          ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+          expect_identical(answer.value(), expected[p],
+                           "thread " + std::to_string(t) + " vertex " +
+                               std::to_string(kProbes[p]));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
 TEST(DistRouter, FiltersSpanningShardBoundariesSpeakGlobalIds) {
   DistFixture fx;
   ChildSet set(fx);
   auto dist = DistRouter::open(set.groups(), fx.parent_options(), nullptr);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
-  ServeOptions local_options = fx.parent_options();
-  local_options.strategy = "router";
-  auto router = make_service(local_options);
-  ASSERT_TRUE(router.ok());
+  auto exact = make_service(fx.flat_options());
+  ASSERT_TRUE(exact.ok());
 
   // [40, 80) straddles shard 1 and shard 2; the scatter must rebase the
   // range per child and skip shard 0 entirely.
@@ -193,7 +267,7 @@ TEST(DistRouter, FiltersSpanningShardBoundariesSpeakGlobalIds) {
   request.filter_begin = 40;
   request.filter_end = 80;
   auto got = dist.value()->serve(request);
-  auto expected = router.value()->serve(request);
+  auto expected = exact.value()->serve(request);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   ASSERT_TRUE(expected.ok());
   EXPECT_FALSE(got.value().degraded);
@@ -210,13 +284,11 @@ TEST(DistRouter, MultiVectorAndMetricOverridesForward) {
   ChildSet set(fx);
   auto dist = DistRouter::open(set.groups(), fx.parent_options(), nullptr);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
-  ServeOptions local_options = fx.parent_options();
-  local_options.strategy = "router";
-  auto router = make_service(local_options);
-  ASSERT_TRUE(router.ok());
+  auto exact = make_service(fx.flat_options());
+  ASSERT_TRUE(exact.ok());
 
-  auto a = router.value()->row_vector(8);
-  auto b = router.value()->row_vector(70);
+  auto a = exact.value()->row_vector(8);
+  auto b = exact.value()->row_vector(70);
   ASSERT_TRUE(a.ok() && b.ok());
   std::vector<float> joint = a.value();
   joint.insert(joint.end(), b.value().begin(), b.value().end());
@@ -228,7 +300,7 @@ TEST(DistRouter, MultiVectorAndMetricOverridesForward) {
   request.aggregate = Aggregate::kMean;
   request.metric = query::Metric::kDot;
   auto got = dist.value()->serve(request);
-  auto expected = router.value()->serve(request);
+  auto expected = exact.value()->serve(request);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   ASSERT_TRUE(expected.ok());
   for (std::size_t q = 0; q < expected.value().results.size(); ++q) {
@@ -262,6 +334,23 @@ TEST(DistRouter, RegistryStrategyWiresThroughBackends) {
   EXPECT_EQ(answer.value().size(), 6u);
 }
 
+// The registry hands its metrics registry to the dist-router: one request
+// counts once and scatters to every shard.
+TEST(Router, RecordsScatterMetrics) {
+  DistFixture fx;
+  ChildSet set(fx);
+  MetricsRegistry metrics;
+  ServeOptions options = fx.parent_options();
+  options.strategy = "dist-router";
+  options.backends = set.backends_spec();
+  auto router = make_service(options, &metrics);
+  ASSERT_TRUE(router.ok()) << router.status().to_string();
+  ASSERT_TRUE(router.value()->top_k_vertex(1, 5).ok());
+  EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 1u);
+  EXPECT_EQ(metrics.counter("gosh_serving_router_scatters_total").value(),
+            fx.shard_count);
+}
+
 TEST(DistRouter, DegradesThenRecoversBitIdentically) {
   DistFixture fx;
   ChildSet set(fx);
@@ -270,10 +359,8 @@ TEST(DistRouter, DegradesThenRecoversBitIdentically) {
   options.remote_deadline_ms = 400;  // a dead child must not stall the merge
   auto dist = DistRouter::open(set.groups(), options, &metrics);
   ASSERT_TRUE(dist.ok()) << dist.status().to_string();
-  ServeOptions local_options = fx.parent_options();
-  local_options.strategy = "router";
-  auto router = make_service(local_options);
-  ASSERT_TRUE(router.ok());
+  auto exact = make_service(fx.flat_options());
+  ASSERT_TRUE(exact.ok());
 
   const QueryRequest request = QueryRequest::for_vertex(5, 12);
   auto healthy = dist.value()->serve(request);
@@ -309,7 +396,7 @@ TEST(DistRouter, DegradesThenRecoversBitIdentically) {
 
   // Restart the child on its pinned port; once the cooldown lapses one
   // half-open probe closes the breaker and the merge is whole — and
-  // bit-identical to the in-process Router — again.
+  // bit-identical to the exact scan — again.
   set.children[1]->start();
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   dist.value()->replicas(1).probe_now();
@@ -318,7 +405,7 @@ TEST(DistRouter, DegradesThenRecoversBitIdentically) {
   auto recovered = dist.value()->serve(request);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_FALSE(recovered.value().degraded);
-  auto expected = router.value()->serve(request);
+  auto expected = exact.value()->serve(request);
   ASSERT_TRUE(expected.ok());
   expect_identical(recovered.value().results.front(),
                    expected.value().results.front(), "recovered merge");

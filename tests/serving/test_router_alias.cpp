@@ -1,7 +1,9 @@
-// Router — sharded-store serving must be indistinguishable from a single
-// engine over the unsharded matrix: same ids, same scores, same
-// deterministic (score desc, id asc) tie handling, under every metric
-// (suite Router* is in the TSan CI filter).
+// Router — the `router` strategy is a registry alias of `exact`: one engine
+// scans every shard of a sharded store. Served that way it must be
+// indistinguishable from a single engine over the unsharded matrix: same
+// ids, same scores, same deterministic (score desc, id asc) tie handling,
+// under every metric (suite Router* is in the TSan CI filter). The
+// scatter-gather router across processes is covered by test_dist_router.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "gosh/serving/registry.hpp"
-#include "gosh/serving/router.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -31,9 +32,9 @@ struct ShardedFixture {
       : rows(rows_in), dim(dim_in) {
     embedding::EmbeddingMatrix matrix(rows, dim);
     matrix.initialize_random(31);
-    // Duplicate every 10th row into the NEXT shard's range so merged
-    // results carry cross-shard ties: (score desc, id asc) must pick the
-    // lower id first, whichever shard served it.
+    // Duplicate every 10th row into the NEXT shard's range so results
+    // carry cross-shard ties: (score desc, id asc) must pick the lower id
+    // first, whichever shard holds it.
     const vid_t third = rows / 3;
     for (vid_t v = 0; v + third < rows; v += 10) {
       const auto src = matrix.row(v);
@@ -85,16 +86,6 @@ void expect_identical(const std::vector<query::Neighbor>& got,
   }
 }
 
-TEST(Router, OpensOneChildPerShardGroup) {
-  ShardedFixture fx;
-  auto router = Router::open(fx.options(fx.sharded_path));
-  ASSERT_TRUE(router.ok()) << router.status().to_string();
-  EXPECT_EQ(router.value()->num_children(), fx.shard_count);
-  EXPECT_EQ(router.value()->rows(), fx.rows);
-  EXPECT_EQ(router.value()->dim(), fx.dim);
-  EXPECT_EQ(router.value()->strategy_name(), "router");
-}
-
 TEST(Router, MatchesSingleEngineUnderEveryMetricWithTies) {
   ShardedFixture fx;
   for (const query::Metric metric :
@@ -138,8 +129,8 @@ TEST(Router, FiltersSpeakGlobalIds) {
   auto router = make_service(options);
   ASSERT_TRUE(router.ok());
 
-  // The allowed range straddles shard 1 and 2; local ids must have been
-  // rebased or the filter would pass the wrong rows.
+  // The allowed range straddles shard 1 and 2; the filter sees global ids
+  // or it would pass the wrong rows.
   QueryRequest request = QueryRequest::for_vertex(2, 20);
   request.filter = [](vid_t v) { return v >= 40 && v < 80; };
   auto response = router.value()->serve(request);
@@ -194,8 +185,10 @@ TEST(Router, MultiVectorAndMetricOverridesScatterCorrectly) {
 
 TEST(Router, RowVectorResolvesAcrossShards) {
   ShardedFixture fx;
-  auto router = Router::open(fx.options(fx.sharded_path));
-  ASSERT_TRUE(router.ok());
+  ServeOptions options = fx.options(fx.sharded_path);
+  options.strategy = "router";
+  auto router = make_service(options);
+  ASSERT_TRUE(router.ok()) << router.status().to_string();
   auto flat = store::EmbeddingStore::open(fx.flat_path);
   ASSERT_TRUE(flat.ok());
   for (const vid_t v : {0u, 33u, 66u, 98u}) {
@@ -208,19 +201,6 @@ TEST(Router, RowVectorResolvesAcrossShards) {
     }
   }
   EXPECT_FALSE(router.value()->row_vector(fx.rows).ok());
-}
-
-TEST(Router, RecordsScatterMetrics) {
-  ShardedFixture fx;
-  MetricsRegistry metrics;
-  ServeOptions options = fx.options(fx.sharded_path);
-  options.strategy = "router";
-  auto router = make_service(options, &metrics);
-  ASSERT_TRUE(router.ok());
-  ASSERT_TRUE(router.value()->top_k_vertex(1, 5).ok());
-  EXPECT_EQ(metrics.counter("gosh_serving_requests_total").value(), 1u);
-  EXPECT_EQ(metrics.counter("gosh_serving_router_scatters_total").value(),
-            fx.shard_count);
 }
 
 TEST(Router, ConcurrentServeIsSafe) {

@@ -238,41 +238,50 @@ TEST(QueryService, HnswServiceAgreesUnderExhaustiveBeam) {
 TEST(QueryService, BatchedServiceAgreesWithExactAndHandlesFallthrough) {
   Fixture fx;
   ServeOptions options = fx.options();
-  options.strategy = "batched";
-  options.max_batch = 16;
-  auto batched = make_service(options);
-  ASSERT_TRUE(batched.ok()) << batched.status().to_string();
-  // "batched" is an alias of "auto": exact without an index beside the
-  // store, since coalescing is built into the exact strategy.
-  EXPECT_EQ(batched.value()->strategy_name(), "exact");
-
   options.strategy = "exact";
+  options.max_batch = 16;
   auto exact = make_service(options);
   ASSERT_TRUE(exact.ok());
 
-  // A batch of vertex queries at the default k.
-  QueryRequest request;
-  for (vid_t v = 0; v < 40; ++v) request.queries.push_back(Query::vertex(v));
-  auto coalesced = batched.value()->serve(request);
-  auto direct = exact.value()->serve(request);
-  ASSERT_TRUE(coalesced.ok() && direct.ok());
-  ASSERT_EQ(coalesced.value().results.size(), direct.value().results.size());
-  for (std::size_t q = 0; q < direct.value().results.size(); ++q) {
-    ASSERT_EQ(coalesced.value().results[q].size(),
-              direct.value().results[q].size());
-    for (std::size_t i = 0; i < direct.value().results[q].size(); ++i) {
-      EXPECT_EQ(coalesced.value().results[q][i].id,
-                direct.value().results[q][i].id);
-    }
-  }
+  // "batched" is an alias of "auto": exact without an index beside the
+  // store, since coalescing is built into the exact strategy. "router" is
+  // an alias of "exact": one engine already scans every shard.
+  for (const char* alias : {"batched", "router"}) {
+    options.strategy = alias;
+    auto batched = make_service(options);
+    ASSERT_TRUE(batched.ok()) << alias << ": "
+                              << batched.status().to_string();
+    EXPECT_EQ(batched.value()->strategy_name(), "exact") << alias;
 
-  // A filtered request scans alone; it must still be honored.
-  QueryRequest filtered = QueryRequest::for_vertex(11, 5);
-  filtered.filter = [](vid_t v) { return v < 30; };
-  auto fallthrough = batched.value()->serve(filtered);
-  ASSERT_TRUE(fallthrough.ok());
-  for (const query::Neighbor& n : fallthrough.value().results.front()) {
-    EXPECT_LT(n.id, 30u);
+    // A batch of vertex queries at the default k.
+    QueryRequest request;
+    for (vid_t v = 0; v < 40; ++v) {
+      request.queries.push_back(Query::vertex(v));
+    }
+    auto coalesced = batched.value()->serve(request);
+    auto direct = exact.value()->serve(request);
+    ASSERT_TRUE(coalesced.ok() && direct.ok()) << alias;
+    ASSERT_EQ(coalesced.value().results.size(),
+              direct.value().results.size());
+    for (std::size_t q = 0; q < direct.value().results.size(); ++q) {
+      ASSERT_EQ(coalesced.value().results[q].size(),
+                direct.value().results[q].size())
+          << alias;
+      for (std::size_t i = 0; i < direct.value().results[q].size(); ++i) {
+        EXPECT_EQ(coalesced.value().results[q][i].id,
+                  direct.value().results[q][i].id)
+            << alias;
+      }
+    }
+
+    // A filtered request scans alone; it must still be honored.
+    QueryRequest filtered = QueryRequest::for_vertex(11, 5);
+    filtered.filter = [](vid_t v) { return v < 30; };
+    auto fallthrough = batched.value()->serve(filtered);
+    ASSERT_TRUE(fallthrough.ok()) << alias;
+    for (const query::Neighbor& n : fallthrough.value().results.front()) {
+      EXPECT_LT(n.id, 30u) << alias;
+    }
   }
 }
 

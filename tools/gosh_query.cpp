@@ -5,7 +5,7 @@
 //   gosh_query --store emb.store --build-index             # offline HNSW
 //   gosh_query --store emb.store --queries q.txt --k 10    # serve a file
 //   echo 17 | gosh_query --store emb.store --queries -     # ... or stdin
-//   gosh_query --store emb.store --strategy router --queries q.txt
+//   gosh_query --store emb.store --strategy hnsw --queries q.txt
 //   gosh_query --store emb.store --eval 100 --k 10         # recall@k
 //
 // Query input: one query per line. A line is one or more ';'-separated
