@@ -3,10 +3,11 @@
 // The public surface is gosh::serving — the QueryService interface with
 // its QueryRequest/QueryResponse model, the string-keyed ServiceRegistry
 // ("exact", "hnsw", "dist-router", "auto", ...), structured ServeOptions
-// and the MetricsRegistry sink. The engine internals
-// it is built from (gosh/store/ mmap store, gosh/query/ scans + HNSW) ride
-// along for programmatic composition, but tools, benches and examples
-// should speak QueryService only.
+// and the MetricsRegistry sink. EngineService, the "exact" and "hnsw"
+// entries, is the one layer between a request and the store. The kernels
+// it calls (the gosh/store/ mmap store, the gosh/query/ scan and HNSW
+// index) ride along for programmatic composition, but tools, benches and
+// examples should speak QueryService only.
 #pragma once
 
 #include "gosh/serving/metrics.hpp"
@@ -15,7 +16,6 @@
 #include "gosh/serving/service.hpp"
 
 #include "gosh/query/brute_force.hpp"
-#include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"
 #include "gosh/query/metric.hpp"
 #include "gosh/store/embedding_store.hpp"

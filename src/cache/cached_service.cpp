@@ -1,6 +1,5 @@
 #include "gosh/cache/cached_service.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -177,10 +176,14 @@ api::Result<serving::QueryResponse> CachedService::serve(
   if (!sub.queries.empty()) {
     auto served = inner_->serve(sub);
     if (!served.ok()) return served.status();
+    // A partial merge is answered as such and never cached: a hit would
+    // replay it after the missing shard recovers.
+    response.degraded = served.value().degraded;
+    response.shards = std::move(served.value().shards);
     for (std::size_t j = 0; j < forwarded.size(); ++j) {
       const std::size_t q = forwarded[j];
       std::vector<query::Neighbor>& raw = served.value().results[j];
-      if (response.cache[q] == CacheOutcome::kMiss) {
+      if (response.cache[q] == CacheOutcome::kMiss && !response.degraded) {
         TRACE_SPAN("cache-insert");
         const InsertOutcome inserted = cache_.insert(miss_vecs[q], k, raw);
         if (insertions_ != nullptr && inserted.inserted) {
@@ -192,17 +195,9 @@ api::Result<serving::QueryResponse> CachedService::serve(
   }
 
   // One finalize step shared by hits, misses and skips, mirroring the
-  // inner strategies: drop the probe vertex from its own answer, trim the
-  // raw k+1 list to k.
+  // inner strategies.
   for (std::size_t q = 0; q < n; ++q) {
-    std::vector<query::Neighbor>& list = response.results[q];
-    const serving::Query& query = request.queries[q];
-    if (query.is_vertex) {
-      std::erase_if(list, [&query](const query::Neighbor& neighbor) {
-        return neighbor.id == query.vertex_id;
-      });
-    }
-    if (list.size() > k) list.resize(k);
+    serving::finalize_answer(response.results[q], request.queries[q], k);
   }
 
   response.seconds = timer.seconds();

@@ -12,7 +12,9 @@
 //
 // Not every request is expressible as a cache key. Filters, metric/ef
 // overrides and multi-vector queries pass straight through the inner
-// service and are reported as `cache-skip`.
+// service and are reported as `cache-skip`. A degraded inner answer (a
+// partial merge) keeps its degraded flag and shard statuses and is never
+// inserted: a hit would replay it after the missing shard recovers.
 #pragma once
 
 #include <atomic>

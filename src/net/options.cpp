@@ -25,7 +25,8 @@ const api::OptionTable<NetOptions>& NetOptions::table() {
                        within(1, 1024)),
              option<N>("scan-threads", "T",
                        "scan parallelism (gosh_query's --threads)",
-                       at(&N::serve, &serving::ServeOptions::threads)),
+                       at(&N::serve, &serving::ServeOptions::threads),
+                       within(0, 1024)),
              option<N>("max-body", "N",
                        "request body cap in bytes (413 beyond)", &N::max_body,
                        within(1, 1 << 30)),

@@ -275,6 +275,24 @@ struct Cursor {
 
 }  // namespace
 
+api::Status HnswIndex::fits(const store::EmbeddingStore& store,
+                            Metric metric) const {
+  if (rows_ != store.rows() || dim_ != store.dim()) {
+    return api::Status::invalid_argument(
+        "hnsw index shape (" + std::to_string(rows_) + " x " +
+        std::to_string(dim_) + ") does not match the store (" +
+        std::to_string(store.rows()) + " x " + std::to_string(store.dim()) +
+        ")");
+  }
+  if (metric_ != metric) {
+    return api::Status::invalid_argument(
+        std::string("hnsw index was built for metric '") +
+        std::string(metric_name(metric_)) + "', engine serves '" +
+        std::string(metric_name(metric)) + "'");
+  }
+  return api::Status::ok();
+}
+
 api::Status HnswIndex::save(const std::string& path) const {
   std::string buffer;
   append_raw(buffer, kMagic, sizeof(kMagic));

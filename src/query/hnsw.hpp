@@ -43,19 +43,23 @@ class HnswIndex {
   /// Builds the index over every row of `store` (offline, sequential
   /// insertions; O(rows * ef_construction) distance evaluations).
   /// `precomputed_inv_norms` (cosine only) skips the full-store norm pass
-  /// when the caller — e.g. a QueryEngine — already holds
-  /// row_inverse_norms(store, metric); it must have store.rows() entries.
+  /// when the caller already holds row_inverse_norms(store, metric); it
+  /// must have store.rows() entries.
   static HnswIndex build(const store::EmbeddingStore& store,
                          const HnswOptions& options = {},
                          std::span<const float> precomputed_inv_norms = {});
 
+  /// kInvalidArgument unless the index was built over `store`'s shape
+  /// (rows x dim) for `metric` — the check before serving a loaded index.
+  api::Status fits(const store::EmbeddingStore& store, Metric metric) const;
+
   /// Approximate top-k of `query` (length = store.dim()). `ef` is the
   /// layer-0 beam width; it is clamped up to `k`. `store` must be the
-  /// store the index was built over (rows/dim are validated by the
-  /// QueryEngine before calling). A non-empty `filter` keeps filtered-out
-  /// nodes navigable (the graph stays connected) but bars them from the
-  /// result set; callers wanting exact-strategy-like coverage under a
-  /// selective filter should widen `ef`.
+  /// store the index was built over (check fits() first). A non-empty
+  /// `filter` keeps filtered-out nodes navigable (the graph stays
+  /// connected) but bars them from the result set; callers wanting
+  /// exact-strategy-like coverage under a selective filter should widen
+  /// `ef`.
   std::vector<Neighbor> search(const store::EmbeddingStore& store,
                                std::span<const float> query, unsigned k,
                                unsigned ef = 64,

@@ -142,17 +142,14 @@ api::Result<QueryResponse> DistRouter::serve(const QueryRequest& request) {
         "cannot be forwarded to remote shards");
   }
 
-  const bool any_vertex =
-      std::any_of(request.queries.begin(), request.queries.end(),
-                  [](const Query& q) { return q.is_vertex; });
-  const unsigned fetch_k = any_vertex ? k + 1 : k;
+  const unsigned fetch = fetch_k(request, k);
 
   // Scatter shape shared by every shard: vertex queries become raw-vector
   // queries (a child only holds its own slice in LOCAL ids — a global
   // vertex id means nothing to it), resolved once from the owning shard's
   // mmapped file.
   QueryRequest scattered;
-  scattered.k = fetch_k;
+  scattered.k = fetch;
   scattered.ef = request.ef;
   scattered.metric = request.metric;
   scattered.aggregate = request.aggregate;
@@ -258,22 +255,20 @@ api::Result<QueryResponse> DistRouter::serve(const QueryRequest& request) {
     }
   }
 
-  const bool degraded =
-      std::any_of(calls.begin(), calls.end(),
-                  [](const ShardCall& call) { return !call.status.ok; });
-  if (degraded && degraded_total_ != nullptr) degraded_total_->increment();
-  if (degraded && require_all_shards_) {
-    std::string missing;
-    for (const ShardCall& call : calls) {
-      if (call.status.ok) continue;
-      if (!missing.empty()) missing += "; ";
-      missing += "shard " + std::to_string(call.status.shard) + " (" +
-                 (call.status.backend.empty() ? "no backend"
-                                              : call.status.backend) +
-                 "): " + call.status.error;
-    }
-    return api::Status::unavailable(
-        "--require-all-shards: partial merge refused — " + missing);
+  QueryResponse response;
+  response.shards.reserve(calls.size());
+  for (ShardCall& call : calls) {
+    response.shards.push_back(std::move(call.status));
+  }
+  response.degraded =
+      std::any_of(response.shards.begin(), response.shards.end(),
+                  [](const ShardStatus& shard) { return !shard.ok; });
+  if (response.degraded && degraded_total_ != nullptr) {
+    degraded_total_->increment();
+  }
+  if (response.degraded && require_all_shards_) {
+    return partial_merge_status(
+        "--require-all-shards: partial merge refused", response.shards);
   }
 
   // Merge over the shards that DID answer. A full scatter is
@@ -283,12 +278,11 @@ api::Result<QueryResponse> DistRouter::serve(const QueryRequest& request) {
   row_begins.reserve(shards_.size());
   answered.reserve(shards_.size());
   for (std::size_t c = 0; c < shards_.size(); ++c) {
-    if (!calls[c].status.ok) continue;
+    if (!response.shards[c].ok) continue;
     row_begins.push_back(shards_[c].row_begin);
     answered.push_back(&calls[c]);
   }
 
-  QueryResponse response;
   response.results.resize(request.queries.size());
   trace::Span merge_span("merge");
   for (std::size_t q = 0; q < request.queries.size(); ++q) {
@@ -297,22 +291,10 @@ api::Result<QueryResponse> DistRouter::serve(const QueryRequest& request) {
     for (ShardCall* call : answered) {
       per_child.push_back(std::move(call->partials[q]));
     }
-    std::vector<Neighbor> merged =
-        merge_top_k(per_child, row_begins, any_vertex ? fetch_k : k);
-    if (request.queries[q].is_vertex) {
-      const vid_t self = request.queries[q].vertex_id;
-      std::erase_if(merged,
-                    [self](const Neighbor& n) { return n.id == self; });
-    }
-    if (merged.size() > k) merged.resize(k);
-    response.results[q] = std::move(merged);
+    response.results[q] = merge_top_k(per_child, row_begins, fetch);
+    finalize_answer(response.results[q], request.queries[q], k);
   }
 
-  response.degraded = degraded;
-  response.shards.reserve(calls.size());
-  for (ShardCall& call : calls) {
-    response.shards.push_back(std::move(call.status));
-  }
   response.seconds = timer.seconds();
   if (requests_ != nullptr) {
     requests_->increment();

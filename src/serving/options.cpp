@@ -51,15 +51,6 @@ std::string ServeOptions::resolved_index_path() const {
                             : index_path;
 }
 
-query::QueryEngineOptions ServeOptions::engine_options() const {
-  query::QueryEngineOptions options;
-  options.metric = metric;
-  options.threads = threads;
-  options.block_rows = static_cast<std::size_t>(block_rows);
-  options.ef_search = ef_search;
-  return options;
-}
-
 query::HnswOptions ServeOptions::hnsw_options() const {
   query::HnswOptions options;
   options.M = hnsw_m;
@@ -139,12 +130,14 @@ const api::OptionTable<ServeOptions>& ServeOptions::table() {
          pair_row("filter", "LO:HI",
                   "only ids in [LO, HI) may appear in answers", ":",
                   &S::filter_begin, &S::filter_end),
-         option<S>("ef", "EF", "HNSW search beam width", &S::ef_search),
+         option<S>("ef", "EF", "HNSW search beam width", &S::ef_search,
+                   at_least(1)),
          option<S>("batch", "B", "most queries one shared exact pass answers",
                    &S::max_batch, at_least(1)),
-         option<S>("block-rows", "N", "rows per scan block", &S::block_rows),
+         option<S>("block-rows", "N", "rows per scan block", &S::block_rows,
+                   at_least(1)),
          option<S>("threads", "T", "scan parallelism; 0 = every worker",
-                   &S::threads)}},
+                   &S::threads, within(0, 1024))}},
        {"semantic cache",
         {flag<S>("cache",
                  "serve through the semantic result cache (= cached:S)",
@@ -223,9 +216,7 @@ api::Status ServeOptions::validate() const {
     return api::Status::invalid_argument(
         "shard: needs I < N, got " + std::to_string(shard_index) + "/" +
         std::to_string(shard_count));
-  // The engine-shape checks live with QueryEngineOptions so programmatic
-  // engine users hit the identical rules.
-  return engine_options().validate();
+  return api::Status::ok();
 }
 
 api::Result<ServeOptions> ServeOptions::from_args(int argc, char** argv) {

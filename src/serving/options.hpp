@@ -1,7 +1,7 @@
 // ServeOptions — the serving twin of api::Options.
 //
-// Subsumes the scattered per-component knobs (QueryEngineOptions, the
-// HNSW build/search parameters, OpenOptions) plus the service-level
+// Holds every serving knob: the scan shape (threads, block rows, HNSW
+// beam), the HNSW build parameters, OpenOptions, the service-level
 // selection (strategy key, default k, multi-vector aggregate, id-range
 // filter) and the gosh_query tool modes. Like api::Options it is filled
 // programmatically, from_args (strict) or from_file (key=value lines),
@@ -17,8 +17,8 @@
 #include "gosh/api/option_table.hpp"
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
-#include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"
+#include "gosh/query/metric.hpp"
 #include "gosh/store/embedding_store.hpp"
 
 namespace gosh::serving {
@@ -46,7 +46,7 @@ struct ServeOptions {
   vid_t filter_begin = 0;
   vid_t filter_end = 0;
 
-  // ---- Engine shape (subsumes QueryEngineOptions). ----------------------
+  // ---- Scan shape (EngineService). -------------------------------------
   unsigned threads = 0;         ///< scan parallelism; 0 = every worker
   std::uint64_t block_rows = 2048;
   unsigned ef_search = 64;      ///< "--ef"
@@ -115,7 +115,6 @@ struct ServeOptions {
   /// The resolved index file ("<store>.hnsw" when index_path is empty).
   std::string resolved_index_path() const;
   /// The subsumed structs, for code layering onto the query internals.
-  query::QueryEngineOptions engine_options() const;
   query::HnswOptions hnsw_options() const;
   store::OpenOptions open_options() const;
   /// Parsed aggregate field; call only after validate().

@@ -14,7 +14,7 @@ namespace gosh::serving {
 namespace {
 
 void register_builtin_services(ServiceRegistry& registry) {
-  const auto engine_factory = [](query::Strategy strategy) {
+  const auto engine_factory = [](Strategy strategy) {
     return [strategy](const ServeOptions& options, MetricsRegistry* metrics)
                -> api::Result<std::unique_ptr<QueryService>> {
       auto service = EngineService::open(options, strategy, metrics);
@@ -22,11 +22,11 @@ void register_builtin_services(ServiceRegistry& registry) {
       return std::unique_ptr<QueryService>(std::move(service).value());
     };
   };
-  (void)registry.add("exact", engine_factory(query::Strategy::kExact));
-  (void)registry.add("hnsw", engine_factory(query::Strategy::kHnsw));
+  (void)registry.add("exact", engine_factory(Strategy::kExact));
+  (void)registry.add("hnsw", engine_factory(Strategy::kHnsw));
   // "router" names the exact scan: one engine already scans every shard
   // of a sharded store, so an in-process scatter would only repeat it.
-  (void)registry.add("router", engine_factory(query::Strategy::kExact));
+  (void)registry.add("router", engine_factory(Strategy::kExact));
   // "remote" forwards to replicas of one logical backend over HTTP; the
   // endpoint list comes from --backends (the "remote:<host:port,...>"
   // prefix form is resolved in ServiceRegistry::create before this

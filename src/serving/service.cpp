@@ -41,9 +41,13 @@ api::Status check_request(const QueryRequest& request, vid_t rows,
   return api::Status::ok();
 }
 
-namespace {
+unsigned fetch_k(const QueryRequest& request, unsigned k) {
+  const bool any_vertex =
+      std::any_of(request.queries.begin(), request.queries.end(),
+                  [](const Query& q) { return q.is_vertex; });
+  return any_vertex ? k + 1 : k;
+}
 
-/// Drops the probe vertex from its own answer and trims to k.
 void finalize_answer(std::vector<Neighbor>& neighbors, const Query& query,
                      unsigned k) {
   if (query.is_vertex) {
@@ -54,7 +58,18 @@ void finalize_answer(std::vector<Neighbor>& neighbors, const Query& query,
   if (neighbors.size() > k) neighbors.resize(k);
 }
 
-}  // namespace
+api::Status partial_merge_status(std::string_view what,
+                                 std::span<const ShardStatus> shards) {
+  std::string missing;
+  for (const ShardStatus& shard : shards) {
+    if (shard.ok) continue;
+    if (!missing.empty()) missing += "; ";
+    missing += "shard " + std::to_string(shard.shard) + " (" +
+               (shard.backend.empty() ? "no backend" : shard.backend) +
+               "): " + shard.error;
+  }
+  return api::Status::unavailable(std::string(what) + " — " + missing);
+}
 
 QueryRequest QueryRequest::for_vertex(vid_t v, unsigned k) {
   QueryRequest request;
@@ -70,26 +85,39 @@ QueryRequest QueryRequest::for_vector(std::vector<float> values, unsigned k) {
   return request;
 }
 
+namespace {
+
+/// The one answer of a single-query response; a partial merge is an error
+/// here, since the plain list has nowhere to say which rows are missing.
+api::Result<std::vector<Neighbor>> single_answer(
+    api::Result<QueryResponse> response) {
+  if (!response.ok()) return response.status();
+  if (response.value().degraded) {
+    return partial_merge_status("partial merge", response.value().shards);
+  }
+  return std::move(response.value().results.front());
+}
+
+}  // namespace
+
 api::Result<std::vector<Neighbor>> QueryService::top_k(
     std::span<const float> query, unsigned k) {
-  auto response = serve(QueryRequest::for_vector(
-      std::vector<float>(query.begin(), query.end()), k));
-  if (!response.ok()) return response.status();
-  return std::move(response.value().results.front());
+  return single_answer(serve(QueryRequest::for_vector(
+      std::vector<float>(query.begin(), query.end()), k)));
 }
 
 api::Result<std::vector<Neighbor>> QueryService::top_k_vertex(vid_t v,
                                                               unsigned k) {
-  auto response = serve(QueryRequest::for_vertex(v, k));
-  if (!response.ok()) return response.status();
-  return std::move(response.value().results.front());
+  return single_answer(serve(QueryRequest::for_vertex(v, k)));
 }
 
 // ---- EngineService --------------------------------------------------------
 
 api::Result<std::unique_ptr<EngineService>> EngineService::open(
-    const ServeOptions& options, query::Strategy strategy,
-    MetricsRegistry* metrics) {
+    const ServeOptions& options, Strategy strategy, MetricsRegistry* metrics) {
+  // Refuses degenerate scan settings (block_rows or ef_search of 0,
+  // implausible thread counts) set programmatically, not only by flag.
+  if (api::Status status = options.validate(); !status.is_ok()) return status;
   // --shard I/N: serve one shard of a sharded store as a whole store in
   // LOCAL ids — the dist-router child's view of the world.
   auto opened =
@@ -100,42 +128,52 @@ api::Result<std::unique_ptr<EngineService>> EngineService::open(
           : store::EmbeddingStore::open(options.store_path,
                                         options.open_options());
   if (!opened.ok()) return opened.status();
-  auto engine = query::QueryEngine::create(std::move(opened).value(),
-                                           options.engine_options());
-  if (!engine.ok()) return engine.status();
-  auto service = std::make_unique<EngineService>(
-      std::move(engine).value(), strategy, options, metrics);
-  if (strategy == query::Strategy::kHnsw) {
+  query::HnswIndex index;
+  if (strategy == Strategy::kHnsw) {
+    auto loaded = query::HnswIndex::load(options.resolved_index_path());
+    if (!loaded.ok()) return loaded.status();
     if (api::Status status =
-            service->engine_.load_index(options.resolved_index_path());
+            loaded.value().fits(opened.value(), options.metric);
         !status.is_ok()) {
       return status;
     }
+    index = std::move(loaded).value();
   }
-  return service;
+  return std::unique_ptr<EngineService>(
+      new EngineService(std::move(opened).value(), std::move(index), strategy,
+                        options, metrics));
 }
 
-EngineService::EngineService(query::QueryEngine engine,
-                             query::Strategy strategy,
-                             const ServeOptions& defaults,
+EngineService::EngineService(store::EmbeddingStore store,
+                             query::HnswIndex index, Strategy strategy,
+                             const ServeOptions& options,
                              MetricsRegistry* metrics)
-    : engine_(std::move(engine)),
+    : store_(std::move(store)),
+      index_(std::move(index)),
       strategy_(strategy),
-      default_k_(defaults.k),
-      default_ef_(defaults.ef_search),
+      metric_(options.metric),
+      default_k_(options.k),
+      default_ef_(options.ef_search),
+      scan_{.threads = options.threads,
+            .block_rows = static_cast<std::size_t>(options.block_rows)},
+      // Metric overrides are lock-free at serve time: the norms a cosine
+      // override needs on the exact path are prepared here.
+      cosine_norms_(metric_ == Metric::kCosine || strategy == Strategy::kExact
+                        ? query::row_inverse_norms(store_, Metric::kCosine)
+                        : std::vector<float>()),
       combiner_(
           [this](const ScanKey& key, std::span<const float> vectors,
                  std::span<const std::size_t> vector_counts,
                  const RowFilter& filter) {
-            query::ScanOptions scan;
-            scan.threads = engine_.options().threads;
-            scan.block_rows = engine_.options().block_rows;
-            return query::scan_top_k_multi(
-                engine_.store(), vectors, vector_counts, key.k, key.metric,
-                norms_for(key.metric), key.aggregate, filter, scan);
+            const std::span<const float> norms =
+                key.metric == Metric::kCosine ? cosine_norms_
+                                              : std::span<const float>();
+            return query::scan_top_k_multi(store_, vectors, vector_counts,
+                                           key.k, key.metric, norms,
+                                           key.aggregate, filter, scan_);
           },
-          static_cast<std::size_t>(defaults.max_batch),
-          strategy == query::Strategy::kExact ? metrics : nullptr) {
+          static_cast<std::size_t>(options.max_batch),
+          strategy == Strategy::kExact ? metrics : nullptr) {
   if (metrics != nullptr) {
     requests_ = &metrics->counter("gosh_serving_requests_total",
                                   "QueryService requests served");
@@ -144,21 +182,6 @@ EngineService::EngineService(query::QueryEngine engine,
     seconds_ = &metrics->histogram("gosh_serving_request_seconds",
                                    "Wall time per QueryService request");
   }
-  // Metric overrides are lock-free at serve time: the only mutable state a
-  // cosine override needs (norms for a non-cosine engine) is prepared
-  // here, with one extra pass over the store.
-  if (engine_.metric() != Metric::kCosine &&
-      strategy_ == query::Strategy::kExact) {
-    override_cosine_norms_ =
-        query::row_inverse_norms(engine_.store(), Metric::kCosine);
-  }
-}
-
-std::span<const float> EngineService::norms_for(Metric metric) const noexcept {
-  if (metric != Metric::kCosine) return {};
-  return engine_.metric() == Metric::kCosine
-             ? engine_.inv_norms()
-             : std::span<const float>(override_cosine_norms_);
 }
 
 api::Result<std::vector<float>> EngineService::row_vector(vid_t v) const {
@@ -167,7 +190,7 @@ api::Result<std::vector<float>> EngineService::row_vector(vid_t v) const {
         "vertex " + std::to_string(v) + " out of range (store has " +
         std::to_string(rows()) + " rows)");
   }
-  const auto row = engine_.store().row(v);
+  const auto row = store_.row(v);
   return std::vector<float>(row.begin(), row.end());
 }
 
@@ -175,31 +198,26 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
   WallTimer timer;
   const unsigned k = request.k > 0 ? request.k : default_k_;
   const unsigned ef = request.ef > 0 ? request.ef : default_ef_;
-  const Metric metric = request.metric.value_or(engine_.metric());
+  const Metric metric = request.metric.value_or(metric_);
 
   if (api::Status status = check_request(request, rows(), dim(), k);
       !status.is_ok()) {
     return status;
   }
-  if (strategy_ == query::Strategy::kHnsw && metric != engine_.metric()) {
+  if (strategy_ == Strategy::kHnsw && metric != metric_) {
     return api::Status::invalid_argument(
         std::string("hnsw index was built for metric '") +
-        std::string(query::metric_name(engine_.metric())) +
+        std::string(query::metric_name(metric_)) +
         "', request asks for '" + std::string(query::metric_name(metric)) +
         "'");
   }
 
-  // Vertex queries fetch one extra neighbor so dropping the probe itself
-  // still leaves k answers — the QueryEngine::top_k_vertex idiom.
-  const bool any_vertex =
-      std::any_of(request.queries.begin(), request.queries.end(),
-                  [](const Query& q) { return q.is_vertex; });
-  const unsigned fetch_k = any_vertex ? k + 1 : k;
+  const unsigned fetch = fetch_k(request, k);
 
   QueryResponse response;
   response.results.resize(request.queries.size());
 
-  if (strategy_ == query::Strategy::kExact) {
+  if (strategy_ == Strategy::kExact) {
     // Flatten the batch into the generalized scan's shape: one flat vector
     // buffer plus per-query vector counts.
     std::vector<float> vectors;
@@ -207,7 +225,7 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
     counts.reserve(request.queries.size());
     for (const Query& query : request.queries) {
       if (query.is_vertex) {
-        const auto row = engine_.store().row(query.vertex_id);
+        const auto row = store_.row(query.vertex_id);
         vectors.insert(vectors.end(), row.begin(), row.end());
         counts.push_back(1);
       } else {
@@ -220,7 +238,7 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
     // aggregate and fetch k. check_request vets the shapes first, but the
     // scan's own validation (buffer/count mismatch, missing norms) must
     // surface as a Status, not an out-of-bounds read.
-    auto scanned = combiner_.scan({metric, request.aggregate, fetch_k},
+    auto scanned = combiner_.scan({metric, request.aggregate, fetch},
                                   vectors, counts, request.filter);
     if (!scanned.ok()) return scanned.status();
     response.results = std::move(scanned).value();
@@ -230,9 +248,9 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
     // narrows what the beam may keep, so widen it; multi-vector queries
     // union their per-vector candidates and re-score under the aggregate.
     const unsigned ef_effective =
-        request.filter ? std::max(ef, 2 * fetch_k) : ef;
+        request.filter ? std::max(ef, 2 * fetch) : ef;
     ParallelForOptions parallel;
-    parallel.threads = engine_.options().threads;
+    parallel.threads = scan_.threads;
     parallel.grain = 1;
     parallel_for(
         request.queries.size(),
@@ -240,11 +258,10 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
           const Query& query = request.queries[q];
           if (query.is_vertex || query.vector_count == 1) {
             const std::span<const float> vec =
-                query.is_vertex
-                    ? engine_.store().row(query.vertex_id)
-                    : std::span<const float>(query.vectors);
-            response.results[q] = engine_.index().search(
-                engine_.store(), vec, fetch_k, ef_effective, request.filter);
+                query.is_vertex ? store_.row(query.vertex_id)
+                                : std::span<const float>(query.vectors);
+            response.results[q] =
+                index_.search(store_, vec, fetch, ef_effective, request.filter);
             return;
           }
           // Multi-vector: candidates from each vector's beam...
@@ -252,8 +269,8 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
           for (std::size_t i = 0; i < query.vector_count; ++i) {
             const auto vec =
                 std::span<const float>(query.vectors).subspan(i * dim(), dim());
-            auto found = engine_.index().search(engine_.store(), vec, fetch_k,
-                                                ef_effective, request.filter);
+            auto found =
+                index_.search(store_, vec, fetch, ef_effective, request.filter);
             candidates.insert(candidates.end(), found.begin(), found.end());
           }
           std::sort(candidates.begin(), candidates.end(),
@@ -267,7 +284,7 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
                                        }),
                            candidates.end());
           // ...then re-scored exactly under the aggregate rule.
-          const std::span<const float> row_norms = engine_.inv_norms();
+          const std::span<const float> row_norms = cosine_norms_;
           std::vector<float> vec_norms(
               metric == Metric::kCosine ? query.vector_count : 0);
           for (std::size_t i = 0; i < vec_norms.size(); ++i) {
@@ -275,7 +292,7 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
                 query::inverse_norm(query.vectors.data() + i * dim(), dim());
           }
           for (Neighbor& candidate : candidates) {
-            const float* row = engine_.store().row(candidate.id).data();
+            const float* row = store_.row(candidate.id).data();
             const float row_inv =
                 metric == Metric::kCosine ? row_norms[candidate.id] : 0.0f;
             float score = 0.0f;
@@ -297,7 +314,7 @@ api::Result<QueryResponse> EngineService::serve(const QueryRequest& request) {
             candidate.score = score;
           }
           std::sort(candidates.begin(), candidates.end(), query::better);
-          if (candidates.size() > fetch_k) candidates.resize(fetch_k);
+          if (candidates.size() > fetch) candidates.resize(fetch);
           response.results[q] = std::move(candidates);
         },
         parallel);
@@ -322,21 +339,17 @@ api::Result<IndexBuildReport> build_index(const ServeOptions& options) {
   auto opened =
       store::EmbeddingStore::open(options.store_path, options.open_options());
   if (!opened.ok()) return opened.status();
-  auto engine = query::QueryEngine::create(std::move(opened).value(),
-                                           options.engine_options());
-  if (!engine.ok()) return engine.status();
+  const store::EmbeddingStore& store = opened.value();
+  // The one norm pass a cosine build needs (empty for the other metrics).
+  const std::vector<float> norms =
+      query::row_inverse_norms(store, options.metric);
 
   WallTimer timer;
-  // Built through the engine so the build reuses its cosine norm cache
-  // instead of re-scanning the store.
-  if (api::Status status = engine.value().build_index(options.hnsw_options());
-      !status.is_ok()) {
-    return status;
-  }
+  const query::HnswIndex index =
+      query::HnswIndex::build(store, options.hnsw_options(), norms);
   IndexBuildReport report;
   report.seconds = timer.seconds();
   report.path = options.resolved_index_path();
-  const query::HnswIndex& index = engine.value().index();
   report.M = index.M();
   report.ef_construction = index.ef_construction();
   report.max_level = index.max_level();

@@ -1,8 +1,8 @@
 // QueryService — the serving facade's one interface, the query-side twin
 // of api::Embedder.
 //
-// The query layer's concrete classes (QueryEngine, HnswIndex) sit behind
-// one request/response model here, the way the training side folded its
+// The query layer's kernels (the exact scan, HnswIndex) sit behind one
+// request/response model here, the way the training side folded its
 // engines behind Embedder. A QueryRequest carries a batch of logical
 // queries — each a stored vertex (self-excluded from its own answer) or
 // one-or-more raw vectors scored jointly — plus per-request overrides
@@ -20,10 +20,13 @@
 
 #include "gosh/api/status.hpp"
 #include "gosh/common/types.hpp"
-#include "gosh/query/engine.hpp"
+#include "gosh/query/brute_force.hpp"
+#include "gosh/query/hnsw.hpp"
+#include "gosh/query/metric.hpp"
 #include "gosh/serving/metrics.hpp"
 #include "gosh/serving/options.hpp"
 #include "gosh/serving/scan_combiner.hpp"
+#include "gosh/store/embedding_store.hpp"
 
 namespace gosh::serving {
 
@@ -141,6 +144,19 @@ struct QueryResponse {
 api::Status check_request(const QueryRequest& request, vid_t rows,
                           unsigned dim, unsigned k);
 
+/// Neighbors to fetch per query for an answer of k: one extra when any
+/// query is a vertex, so dropping the probe itself still leaves k.
+unsigned fetch_k(const QueryRequest& request, unsigned k);
+
+/// Drops the probe vertex from its own answer and trims to k.
+void finalize_answer(std::vector<Neighbor>& neighbors, const Query& query,
+                     unsigned k);
+
+/// kUnavailable whose message is `what`, then each shard missing from a
+/// partial merge: its index, its backend and its error.
+api::Status partial_merge_status(std::string_view what,
+                                 std::span<const ShardStatus> shards);
+
 class QueryService {
  public:
   virtual ~QueryService() = default;
@@ -160,52 +176,64 @@ class QueryService {
   /// vectors (e.g. to build multi-vector queries) without a store handle.
   virtual api::Result<std::vector<float>> row_vector(vid_t v) const = 0;
 
-  // Convenience single-query entry points over serve().
+  // Convenience single-query entry points over serve(). A degraded
+  // (partial) answer is kUnavailable naming the missing shards.
   api::Result<std::vector<Neighbor>> top_k(std::span<const float> query,
                                            unsigned k = 0);
   api::Result<std::vector<Neighbor>> top_k_vertex(vid_t v, unsigned k = 0);
 };
 
-/// QueryService over one QueryEngine, answering with a fixed strategy
-/// (the "exact" and "hnsw" registry entries). Thread-safe for concurrent
-/// serve() calls. Exact requests go through a ScanCombiner, so concurrent
-/// compatible requests share one pass over the store (at most
-/// ServeOptions::max_batch queries per pass); the HNSW path only reads
-/// shared state. Callers must not be global-pool workers if they want to
-/// share passes (see scan_combiner.hpp).
+/// How an EngineService answers: the "exact" and "hnsw" registry entries.
+enum class Strategy {
+  kExact,  ///< blocked parallel brute-force scan (ground truth)
+  kHnsw,   ///< approximate graph index, loaded beside the store
+};
+
+constexpr std::string_view strategy_name(Strategy strategy) noexcept {
+  return strategy == Strategy::kExact ? "exact" : "hnsw";
+}
+
+/// QueryService over one mapped store, answering with a fixed strategy.
+/// Thread-safe for concurrent serve() calls. Exact requests go through a
+/// ScanCombiner, so concurrent compatible requests share one pass over
+/// the store (at most ServeOptions::max_batch queries per pass); the HNSW
+/// path only reads shared state. Callers must not be global-pool workers
+/// if they want to share passes (see scan_combiner.hpp).
 class EngineService final : public QueryService {
  public:
-  /// Opens the store named by `options` and builds the engine; the "hnsw"
-  /// strategy additionally loads options.resolved_index_path(). `metrics`
-  /// (optional) receives request counters and latency histograms.
+  /// Validates `options`, opens the store they name and, for the "hnsw"
+  /// strategy, loads options.resolved_index_path() and checks it fits the
+  /// store and metric. `metrics` (optional) receives request counters and
+  /// latency histograms.
   static api::Result<std::unique_ptr<EngineService>> open(
-      const ServeOptions& options, query::Strategy strategy,
+      const ServeOptions& options, Strategy strategy,
       MetricsRegistry* metrics = nullptr);
 
-  EngineService(query::QueryEngine engine, query::Strategy strategy,
-                const ServeOptions& defaults, MetricsRegistry* metrics);
-
   api::Result<QueryResponse> serve(const QueryRequest& request) override;
-  vid_t rows() const noexcept override { return engine_.rows(); }
-  unsigned dim() const noexcept override { return engine_.dim(); }
-  Metric default_metric() const noexcept override { return engine_.metric(); }
+  vid_t rows() const noexcept override { return store_.rows(); }
+  unsigned dim() const noexcept override { return store_.dim(); }
+  Metric default_metric() const noexcept override { return metric_; }
   std::string_view strategy_name() const noexcept override {
-    return query::strategy_name(strategy_);
+    return serving::strategy_name(strategy_);
   }
   api::Result<std::vector<float>> row_vector(vid_t v) const override;
 
-  const query::QueryEngine& engine() const noexcept { return engine_; }
-
  private:
-  std::span<const float> norms_for(Metric metric) const noexcept;
+  EngineService(store::EmbeddingStore store, query::HnswIndex index,
+                Strategy strategy, const ServeOptions& options,
+                MetricsRegistry* metrics);
 
-  query::QueryEngine engine_;
-  query::Strategy strategy_;
+  store::EmbeddingStore store_;
+  query::HnswIndex index_;  ///< empty for the exact strategy
+  Strategy strategy_;
+  Metric metric_;
   unsigned default_k_;
   unsigned default_ef_;
-  /// Cosine norms for exact-path metric overrides when the engine's own
-  /// metric is not cosine (computed once at construction, one store pass).
-  std::vector<float> override_cosine_norms_;
+  query::ScanOptions scan_;
+  /// Per-row cosine inverse norms, computed once at open (one store pass)
+  /// when the metric is cosine or the strategy is exact (a cosine
+  /// override); empty otherwise.
+  std::vector<float> cosine_norms_;
   Counter* requests_ = nullptr;
   Counter* queries_ = nullptr;
   Histogram* seconds_ = nullptr;

@@ -1,9 +1,9 @@
 // CachedService — the "cached:<inner>" strategy end to end: registry
 // composition (prefix and --cache), the bit-identical-to-uncached
 // guarantee at threshold 1.0, hit/miss/skip annotations, the gosh_cache_*
-// metrics, generation fingerprinting, and a recall-vs-threshold property
-// sweep over a trained LFR embedding (suite CachedService* is in the TSan
-// CI filter).
+// metrics, partial merges (annotated, never cached), generation
+// fingerprinting, and a recall-vs-threshold property sweep over a trained
+// LFR embedding (suite CachedService* is in the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +18,7 @@
 #include "gosh/common/zipf.hpp"
 #include "gosh/graph/generators.hpp"
 #include "gosh/serving/registry.hpp"
+#include "../serving/stub_service.hpp"
 
 namespace gosh::cache {
 namespace {
@@ -219,6 +220,43 @@ TEST(CachedService, MetricsCountHitsMissesAndInsertions) {
   EXPECT_DOUBLE_EQ(metrics.gauge("gosh_cache_hit_ratio").value(), 0.5);
   EXPECT_DOUBLE_EQ(metrics.gauge("gosh_cache_entries").value(), 8.0);
   EXPECT_EQ(metrics.histogram("gosh_cache_lookup_seconds").count(), 16u);
+}
+
+TEST(CachedService, PartialMergesAreAnnotatedAndNeverCached) {
+  serving::MetricsRegistry metrics;
+  serving::ServeOptions options;
+  options.k = 5;
+  options.cache_threshold = 1.0;
+  auto stub = std::make_unique<serving::StubService>();
+  serving::StubService& inner = *stub;
+  CachedService service(std::move(stub), options, &metrics);
+  const serving::Counter& insertions =
+      metrics.counter("gosh_cache_insertions_total");
+  const serving::QueryRequest request = serving::QueryRequest::for_vertex(7);
+
+  // A shard is down: the partial answer says so and is not cached.
+  inner.degraded = true;
+  auto partial = service.serve(request);
+  ASSERT_TRUE(partial.ok()) << partial.status().to_string();
+  EXPECT_TRUE(partial.value().degraded);
+  ASSERT_EQ(partial.value().shards.size(), 2u);
+  EXPECT_FALSE(partial.value().shards[1].ok);
+  EXPECT_EQ(partial.value().cache.front(), serving::CacheOutcome::kMiss);
+  EXPECT_EQ(insertions.value(), 0u);
+
+  // Once it recovers, the whole answer is a miss and is cached...
+  inner.degraded = false;
+  auto whole = service.serve(request);
+  ASSERT_TRUE(whole.ok()) << whole.status().to_string();
+  EXPECT_FALSE(whole.value().degraded);
+  EXPECT_TRUE(whole.value().shards.empty());
+  EXPECT_EQ(whole.value().cache.front(), serving::CacheOutcome::kMiss);
+  EXPECT_EQ(insertions.value(), 1u);
+
+  // ...and the next ask hits it.
+  auto hit = service.serve(request);
+  ASSERT_TRUE(hit.ok()) << hit.status().to_string();
+  EXPECT_EQ(hit.value().cache.front(), serving::CacheOutcome::kHit);
 }
 
 TEST(CachedService, CapacityEvictionsReachTheMetricsCounter) {

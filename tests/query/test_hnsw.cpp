@@ -61,22 +61,38 @@ class HnswRecallTest : public ::testing::Test {
 
 std::string* HnswRecallTest::store_path_ = nullptr;
 
-double recall_at_k(const QueryEngine& engine, unsigned k,
-                   std::size_t samples) {
+/// The k nearest of `neighbors` (ranked, k + 1 fetched) once the probe
+/// vertex itself is dropped.
+std::vector<Neighbor> without_probe(std::vector<Neighbor> neighbors,
+                                    vid_t probe, unsigned k) {
+  std::erase_if(neighbors,
+                [probe](const Neighbor& n) { return n.id == probe; });
+  if (neighbors.size() > k) neighbors.resize(k);
+  return neighbors;
+}
+
+/// recall@k of `index` searched with beam `ef` against the exact scan, over
+/// sampled vertex probes (each excluded from its own answer).
+double recall_at_k(const store::EmbeddingStore& store, const HnswIndex& index,
+                   unsigned ef, unsigned k, std::size_t samples) {
+  const std::vector<float> norms = row_inverse_norms(store, index.metric());
   Rng rng(5);
   double hits = 0.0;
   for (std::size_t i = 0; i < samples; ++i) {
-    const vid_t probe = rng.next_vertex(engine.rows());
-    auto exact = engine.top_k_vertex(probe, k, Strategy::kExact);
-    auto approx = engine.top_k_vertex(probe, k, Strategy::kHnsw);
+    const vid_t probe = rng.next_vertex(store.rows());
+    auto exact =
+        scan_top_k(store, store.row(probe), k + 1, index.metric(), norms);
     // Bail instead of touching value(): in a release build value() on an
     // error Result is UB (this exact spot once looped forever on garbage
     // vector bounds when a corrupted fixture store failed the query).
-    EXPECT_TRUE(exact.ok() && approx.ok());
-    if (!exact.ok() || !approx.ok()) return 0.0;
-    for (const Neighbor& truth : exact.value()) {
-      for (const Neighbor& got : approx.value()) {
-        if (truth.id == got.id) {
+    EXPECT_TRUE(exact.ok()) << exact.status().to_string();
+    if (!exact.ok()) return 0.0;
+    const auto truth = without_probe(std::move(exact).value(), probe, k);
+    const auto approx = without_probe(
+        index.search(store, store.row(probe), k + 1, ef), probe, k);
+    for (const Neighbor& want : truth) {
+      for (const Neighbor& got : approx) {
+        if (want.id == got.id) {
           hits += 1.0;
           break;
         }
@@ -87,30 +103,19 @@ double recall_at_k(const QueryEngine& engine, unsigned k,
 }
 
 TEST_F(HnswRecallTest, RecallAt10AboveNinetyPercentOnTrainedEmbedding) {
-  QueryEngine engine(open_fresh(*store_path_), {.ef_search = 64});
-  ASSERT_TRUE(
-      engine.build_index({.M = 16, .ef_construction = 200, .seed = 7})
-          .is_ok());
-  const double recall = recall_at_k(engine, 10, 100);
+  const auto store = open_fresh(*store_path_);
+  const HnswIndex index =
+      HnswIndex::build(store, {.M = 16, .ef_construction = 200, .seed = 7});
+  const double recall = recall_at_k(store, index, /*ef=*/64, 10, 100);
   EXPECT_GE(recall, 0.9) << "HNSW recall@10 degraded against exact scan";
 }
 
 TEST_F(HnswRecallTest, WiderBeamNeverHurtsRecall) {
-  QueryEngineOptions narrow;
-  narrow.ef_search = 10;
-  QueryEngine narrow_engine(open_fresh(*store_path_), narrow);
-  ASSERT_TRUE(narrow_engine
-                  .build_index({.M = 8, .ef_construction = 64, .seed = 7})
-                  .is_ok());
-  const double narrow_recall = recall_at_k(narrow_engine, 10, 50);
-
-  QueryEngineOptions wide = narrow;
-  wide.ef_search = 256;
-  QueryEngine wide_engine(open_fresh(*store_path_), wide);
-  ASSERT_TRUE(wide_engine
-                  .build_index({.M = 8, .ef_construction = 64, .seed = 7})
-                  .is_ok());
-  const double wide_recall = recall_at_k(wide_engine, 10, 50);
+  const auto store = open_fresh(*store_path_);
+  const HnswIndex index =
+      HnswIndex::build(store, {.M = 8, .ef_construction = 64, .seed = 7});
+  const double narrow_recall = recall_at_k(store, index, /*ef=*/10, 10, 50);
+  const double wide_recall = recall_at_k(store, index, /*ef=*/256, 10, 50);
   EXPECT_GE(wide_recall + 1e-9, narrow_recall);
   EXPECT_GE(wide_recall, 0.9);
 }

@@ -1,5 +1,5 @@
-// gosh::query metrics — hand-computed similarity values, name parsing,
-// and the per-store norm cache.
+// gosh::query metrics — hand-computed similarity values, metric and
+// aggregate name parsing, and the per-store norm cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -68,6 +68,15 @@ TEST(QueryMetric, ParseRoundTripsAndRejectsUnknown) {
   }
   EXPECT_EQ(parse_metric("manhattan").status().code(),
             api::StatusCode::kInvalidArgument);
+}
+
+TEST(QueryMetric, ParseAggregateEnumeratesValidNames) {
+  EXPECT_EQ(parse_aggregate("max").value(), Aggregate::kMax);
+  EXPECT_EQ(parse_aggregate("mean").value(), Aggregate::kMean);
+  auto bogus = parse_aggregate("median");
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_NE(bogus.status().message().find("max"), std::string::npos);
+  EXPECT_NE(bogus.status().message().find("mean"), std::string::npos);
 }
 
 TEST(QueryMetric, RowInverseNormsCoverTheStore) {

@@ -81,11 +81,8 @@ TEST(ServeOptions, EngineAndHnswOptionsAreSubsumed) {
   options.hnsw_m = 24;
   options.ef_construction = 333;
   options.seed = 5;
-  const query::QueryEngineOptions engine = options.engine_options();
-  EXPECT_EQ(engine.metric, query::Metric::kDot);
-  EXPECT_EQ(engine.threads, 2u);
-  EXPECT_EQ(engine.block_rows, 128u);
-  EXPECT_EQ(engine.ef_search, 99u);
+  // The scan shape is plain fields, checked by validate() itself.
+  EXPECT_TRUE(options.validate().is_ok());
   const query::HnswOptions hnsw = options.hnsw_options();
   EXPECT_EQ(hnsw.M, 24u);
   EXPECT_EQ(hnsw.ef_construction, 333u);
@@ -109,8 +106,8 @@ TEST(ServeOptions, RejectsMalformedValuesWithClearErrors) {
   expect_bad({"--store", "s", "--aggregate", "median"}, "max");
   expect_bad({"--store", "s", "--filter", "17"}, "LO:HI");
   expect_bad({"--store", "s", "--filter", "30:10"}, "LO < HI");
-  expect_bad({"--store", "s", "--block-rows", "0"}, "block_rows");
-  expect_bad({"--store", "s", "--ef", "0"}, "ef_search");
+  expect_bad({"--store", "s", "--block-rows", "0"}, "block-rows");
+  expect_bad({"--store", "s", "--ef", "0"}, "ef");
   expect_bad({"--store", "s", "--batch", "0"}, "batch");
   expect_bad({"--store", "s", "--bogus", "1"}, "unknown serving option");
   expect_bad({"stray"}, "stray");

@@ -1,7 +1,10 @@
 // QueryService — the serving facade's request model over every registry
 // strategy: exact vs reference, per-request overrides, multi-vector and
 // filtered queries, hnsw agreement, the batched alias, registry policies,
-// and concurrent serving (suite QueryService* is in the TSan CI filter).
+// concurrent serving and the single-query helpers' refusal of partial
+// merges; EngineService — what open() refuses: degenerate scan settings,
+// a missing index and an index that does not fit the store or metric
+// (suites QueryService* and EngineService* are in the TSan CI filter).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "gosh/net/options.hpp"
 #include "gosh/query/brute_force.hpp"
 #include "gosh/serving/registry.hpp"
+#include "stub_service.hpp"
 
 namespace gosh::serving {
 namespace {
@@ -392,6 +397,93 @@ TEST(QueryService, ConcurrentServeIsSafe) {
     }
     for (std::thread& t : threads) t.join();
   }
+}
+
+TEST(QueryService, SingleQueryHelpersRefusePartialMerges) {
+  StubService service;
+  const std::vector<float> vector(service.dim(), 1.0f);
+  auto whole = service.top_k_vertex(7, 5);
+  ASSERT_TRUE(whole.ok()) << whole.status().to_string();
+  EXPECT_EQ(whole.value().size(), 1u);
+
+  service.degraded = true;
+  for (const auto& answer :
+       {service.top_k_vertex(7, 5), service.top_k(vector, 5)}) {
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), api::StatusCode::kUnavailable);
+    // Names the missing shard, its backend and its error; not the others.
+    const std::string message = answer.status().message();
+    EXPECT_NE(message.find("shard 1 (127.0.0.1:7002): deadline exceeded"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("shard 0"), std::string::npos) << message;
+  }
+}
+
+/// EngineService::open's verdict on the fixture's store under `options`.
+api::Status open_status(const ServeOptions& options,
+                        Strategy strategy = Strategy::kExact) {
+  return EngineService::open(options, strategy).status();
+}
+
+TEST(EngineService, ZeroBlockRowsIsInvalidArgument) {
+  Fixture fx;
+  ServeOptions options = fx.options();
+  options.block_rows = 0;
+  const api::Status status = open_status(options);
+  EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("block-rows"), std::string::npos)
+      << status.to_string();
+}
+
+TEST(EngineService, ZeroEfSearchIsInvalidArgument) {
+  Fixture fx;
+  ServeOptions options = fx.options();
+  options.ef_search = 0;
+  const api::Status status = open_status(options, Strategy::kHnsw);
+  EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("ef"), std::string::npos)
+      << status.to_string();
+}
+
+TEST(EngineService, AbsurdThreadCountIsInvalidArgument) {
+  Fixture fx;
+  ServeOptions options = fx.options();
+  options.threads = 100000;
+  EXPECT_EQ(open_status(options).code(), api::StatusCode::kInvalidArgument);
+  // Refused alike by gosh_query's --threads and gosh_serve's
+  // --scan-threads.
+  EXPECT_EQ(ServeOptions().set("threads", "100000").code(),
+            api::StatusCode::kInvalidArgument);
+  EXPECT_EQ(net::NetOptions().set("scan-threads", "100000").code(),
+            api::StatusCode::kInvalidArgument);
+}
+
+TEST(EngineService, MissingIndexFileIsAnIoError) {
+  Fixture fx;
+  EXPECT_EQ(open_status(fx.options(), Strategy::kHnsw).code(),
+            api::StatusCode::kIoError);
+}
+
+TEST(EngineService, RejectsIndexBuiltForAnotherMetricOrStore) {
+  Fixture fx;
+  fx.build_hnsw_index(64);  // cosine
+  ServeOptions l2 = fx.options();
+  l2.metric = query::Metric::kL2;
+  const api::Status wrong_metric = open_status(l2, Strategy::kHnsw);
+  EXPECT_EQ(wrong_metric.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(wrong_metric.message().find("metric"), std::string::npos)
+      << wrong_metric.to_string();
+
+  // Shape mismatch: an index over a smaller store.
+  Fixture tiny(10, fx.dim, 31);
+  tiny.build_hnsw_index(64);
+  ServeOptions mismatched = fx.options();
+  mismatched.index_path = tiny.store_path + ".hnsw";
+  const api::Status wrong_shape = open_status(mismatched, Strategy::kHnsw);
+  EXPECT_EQ(wrong_shape.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(wrong_shape.message().find("shape"), std::string::npos)
+      << wrong_shape.to_string();
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "gosh/query/engine.hpp"
 #include "gosh/query/hnsw.hpp"
 #include "gosh/store/embedding_store.hpp"
 
@@ -253,24 +252,15 @@ TEST(FileMutation, IndexFilesLoadCleanlyOrSearchInBounds) {
     matrix.initialize_random(9);
     ASSERT_TRUE(EmbeddingStore::write(matrix, store_path).is_ok());
   }
-  // One engine per metric, so any index that loads can be attached to the
-  // engine serving its metric and searched.
-  std::vector<query::QueryEngine> engines;
-  engines.reserve(3);
-  for (const query::Metric metric :
-       {query::Metric::kCosine, query::Metric::kDot, query::Metric::kL2}) {
-    auto opened = EmbeddingStore::open(store_path);
-    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
-    engines.emplace_back(std::move(opened).value(),
-                         query::QueryEngineOptions{.metric = metric});
-  }
+  auto opened = EmbeddingStore::open(store_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  const EmbeddingStore& store = opened.value();
   // Pristine images: a cosine index (with its norm table) and an L2 one.
   std::vector<std::string> pristine;
   for (const query::Metric metric :
        {query::Metric::kCosine, query::Metric::kL2}) {
     const query::HnswIndex index = query::HnswIndex::build(
-        engines[static_cast<std::size_t>(metric)].store(),
-        {.M = 4, .ef_construction = 32, .metric = metric});
+        store, {.M = 4, .ef_construction = 32, .metric = metric});
     ASSERT_TRUE(index.save(index_path).is_ok());
     pristine.push_back(read_file(index_path));
   }
@@ -332,14 +322,15 @@ TEST(FileMutation, IndexFilesLoadCleanlyOrSearchInBounds) {
     if (!loaded.ok()) continue;
     const auto metric_field = get<std::uint32_t>(bytes, 8);
     ASSERT_LE(metric_field, 2u) << "seed " << seed;
-    query::QueryEngine& engine = engines[metric_field];
-    if (!engine.attach_index(std::move(loaded).value()).is_ok()) continue;
+    // Searched as a service would: only once it fits the store and the
+    // metric it was built for.
+    const query::HnswIndex& index = loaded.value();
+    if (!index.fits(store, static_cast<query::Metric>(metric_field)).is_ok())
+      continue;
     ++searched_cases;
     for (const vid_t probe : {0u, 17u, 59u}) {
-      auto found = engine.top_k(engine.store().row(probe), 5,
-                                query::Strategy::kHnsw);
-      ASSERT_TRUE(found.ok()) << "seed " << seed;
-      for (const query::Neighbor& n : found.value()) {
+      for (const query::Neighbor& n :
+           index.search(store, store.row(probe), 5)) {
         ASSERT_LT(n.id, kRows) << "seed " << seed;
       }
     }

@@ -11,7 +11,7 @@
 //                     ok()/status()/has_value() check (or a gtest assertion)
 //                     — Result<T>::value() on an error is undefined.
 //   internal-include  tools/, bench/ and examples/ speak the public API
-//                     (gosh/api, gosh/query/engine.hpp); reaching into the
+//                     (gosh/api, gosh/serving); reaching into the
 //                     strategy internals (query/brute_force.hpp,
 //                     query/hnsw.hpp) bypasses the registry.
 //   tsan-suppression  Every symbol named in .tsan-suppressions must still
@@ -301,7 +301,7 @@ void check_unchecked_value(const SourceFile& file,
 // ---------------------------------------------------------------------------
 
 /// Strategy internals the front-ends must not include directly — the
-/// registry (serving::make_service / query::QueryEngine) is the API.
+/// registry (serving::make_service) is the API.
 const char* const kInternalHeaders[] = {
     "query/brute_force.hpp",
     "query/hnsw.hpp",
@@ -325,7 +325,7 @@ void check_internal_include(const SourceFile& file,
       if (line.find(header) != std::string::npos) {
         out.push_back({file.path, number, "internal-include",
                        std::string("front-end includes strategy internal '") +
-                           header + "'; use the public engine/service API"});
+                           header + "'; use the public service API"});
       }
     }
   }
