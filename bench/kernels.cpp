@@ -10,7 +10,9 @@
 // — the BENCH_*.json perf trajectory's kernel half.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -109,27 +111,22 @@ void BM_CountingSort(benchmark::State& state) {
 }
 BENCHMARK(BM_CountingSort)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_CoarsenLevelSequential(benchmark::State& state) {
+void BM_CoarsenLevel(benchmark::State& state) {
   const graph::Graph g = graph::rmat(static_cast<unsigned>(state.range(0)),
                                      1ull << (state.range(0) + 3), 7);
+  const auto threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    auto mapping = coarsen::map_level_sequential(g);
+    auto mapping = coarsen::map_level(g, threads);
     benchmark::DoNotOptimize(mapping.num_clusters);
   }
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
-BENCHMARK(BM_CoarsenLevelSequential)->Arg(12)->Arg(14);
-
-void BM_CoarsenLevelParallel(benchmark::State& state) {
-  const graph::Graph g = graph::rmat(static_cast<unsigned>(state.range(0)),
-                                     1ull << (state.range(0) + 3), 7);
-  for (auto _ : state) {
-    auto mapping = coarsen::map_level_parallel(g, 0, 256);
-    benchmark::DoNotOptimize(mapping.num_clusters);
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs());
-}
-BENCHMARK(BM_CoarsenLevelParallel)->Arg(12)->Arg(14);
+// One worker, and every worker.
+BENCHMARK(BM_CoarsenLevel)
+    ->ArgNames({"scale", "threads"})
+    ->ArgsProduct(
+        {{12, 14},
+         {1, static_cast<std::int64_t>(std::thread::hardware_concurrency())}});
 
 void BM_PositiveSampling(benchmark::State& state) {
   const graph::Graph g = graph::rmat(12, 40000, 8);

@@ -44,10 +44,9 @@ int main(int argc, char** argv) {
     graph::Graph current = g;
     for (unsigned i = 0; i < levels && current.num_vertices() > 2; ++i) {
       WallTimer timer;
-      const auto mapping =
-          coarsen::map_level_parallel(current, threads, 256);
+      const auto mapping = coarsen::map_level(current, threads);
       graph::Graph coarser =
-          coarsen::build_coarse_graph(current, mapping, threads, 256);
+          coarsen::build_coarse_graph(current, mapping, threads);
       gosh_levels.push_back({timer.seconds(), coarser.num_vertices()});
       current = std::move(coarser);
     }

@@ -6,7 +6,8 @@
 #      queries through every in-process ServiceRegistry strategy (exact,
 #      hnsw, auto, and the aliases batched and router) and dumps a metrics
 #      exposition,
-#   5. gosh_query --eval checks HNSW recall against the exact scan.
+#   5. gosh_query --eval checks HNSW recall against the exact scan, and
+#      that 32 requests report their slowest latency, not a p99.
 #
 # Expects -DGOSH_EMBED=..., -DGOSH_QUERY=..., -DWORK_DIR=...
 foreach(var GOSH_EMBED GOSH_QUERY WORK_DIR)
@@ -42,6 +43,8 @@ foreach(c RANGE 3)
 endforeach()
 file(WRITE ${edge_file} "${edges}")
 
+# Runs one step, fails on a nonzero exit, and leaves its stdout in
+# step_output.
 function(run_step label)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rv
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -49,6 +52,7 @@ function(run_step label)
     message(FATAL_ERROR "${label} failed (exit ${rv}):\n${out}\n${err}")
   endif()
   message(STATUS "${label}:\n${out}")
+  set(step_output "${out}" PARENT_SCOPE)
 endfunction()
 
 # 20 rows per shard -> a 4-shard store, so every strategy below scans
@@ -86,3 +90,11 @@ run_step("gosh_query --queries (auto)"
 run_step("gosh_query --eval"
          ${GOSH_QUERY} --store ${store_file} --eval 32 --k 5 --ef 128
          --strategy hnsw --recall-floor 0.9)
+# A p99 needs at least 10 of 1000 requests beyond it; 32 requests cannot
+# know one, so each side reports its slowest request as `max`.
+if(NOT step_output MATCHES "exact: [^\n]* max [0-9]" OR
+   NOT step_output MATCHES "candidate: [^\n]* max [0-9]" OR
+   step_output MATCHES "p99")
+  message(FATAL_ERROR
+          "gosh_query --eval 32 must report max, not p99:\n${step_output}")
+endif()

@@ -74,7 +74,7 @@ inline void print_bench_banner(const char* title) {
   std::printf("==========================================================\n");
   std::printf("%s\n", title);
   std::printf("(synthetic analogs; shapes comparable to the paper, absolute\n");
-  std::printf(" numbers are not — see EXPERIMENTS.md)\n");
+  std::printf(" numbers are not — see README.md, \"Bench harnesses\")\n");
   std::printf("==========================================================\n");
 }
 

@@ -105,6 +105,10 @@ class GoshBackend final : public Embedder {
     return guarded(name(), [&]() -> Result<EmbedResult> {
       embedding::GoshConfig config = options_.gosh;
       config.force_large_graph = force_large_graph_;
+      // An unset coarsening thread count follows --workers, as in verse-cpu.
+      if (config.coarsening.threads == 0) {
+        config.coarsening.threads = options_.device.workers;
+      }
 
       // Adapt the embedding-layer hooks onto the observer. Training runs
       // coarsest level first, so the first level event reveals the depth.

@@ -30,7 +30,6 @@ Status apply_preset(Options& options) {
   options.gosh.train.learning_rate = base.train.learning_rate;
   options.gosh.total_epochs = base.total_epochs;
   options.gosh.enable_coarsening = base.enable_coarsening;
-  options.gosh.coarsening.threads = base.coarsening.threads;
   return Status::ok();
 }
 
@@ -192,7 +191,8 @@ const OptionTable<Options>& Options::table() {
           }},
          // Thread counts spawn real host threads at construction, so an
          // absurd value must be an error here, not a std::system_error.
-         option<O>("workers", "W", "device worker threads; 0 = every core",
+         option<O>("workers", "W",
+                   "device and coarsening worker threads; 0 = every core",
                    at(&O::device, &simt::DeviceConfig::workers),
                    within(0, 1024)),
          option<O>("memory-fraction", "F",
@@ -205,11 +205,8 @@ const OptionTable<Options>& Options::table() {
                    at(&O::gosh, &G::enable_coarsening)),
          option<O>("coarsening-threshold", "N",
                    "stop below N vertices per level",
-                   at(&O::gosh, &G::coarsening, &CC::threshold), at_least(2)),
-         option<O>("coarsening-threads", "T",
-                   "1 = sequential Algorithm 4; 0 = every worker",
-                   at(&O::gosh, &G::coarsening, &CC::threads),
-                   within(0, 1024))}},
+                   at(&O::gosh, &G::coarsening, &CC::threshold),
+                   at_least(2))}},
        {"partitioned training (Algorithm 5)",
         {option<O>("pgpu", "P", "P_GPU: sub-matrix slots on the device",
                    at(&O::gosh, &G::large_graph, &LG::pgpu), at_least(2)),

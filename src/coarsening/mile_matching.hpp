@@ -14,7 +14,7 @@
 // 4-5x, MILE needs far more levels/time for the same reduction — the
 // behaviour Table 5 of the GOSH paper quantifies. This reimplementation is
 // C++ (the original is Python), so absolute per-level times are closer to
-// GOSH's than in the paper; EXPERIMENTS.md discusses the gap.
+// GOSH's than in the paper; README.md, "Bench harnesses", discusses the gap.
 #pragma once
 
 #include <cstddef>

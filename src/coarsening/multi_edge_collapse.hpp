@@ -1,5 +1,5 @@
 // MultiEdgeCollapse — the paper's coarsening algorithm (Section 3.2,
-// Algorithm 4) in both sequential and parallel forms.
+// Algorithm 4), with an output that does not depend on the thread count.
 //
 // One level works in three O(|V|+|E|) stages:
 //   1. order vertices by descending degree (counting sort);
@@ -11,16 +11,18 @@
 //      cluster's distinct external neighbour clusters (multi-edges collapse,
 //      intra-cluster edges vanish).
 //
-// The parallel form follows Section 3.2.2: the map array doubles as the
-// lock — entries are std::atomic and a single CAS from kInvalidVertex
-// claims a vertex; contended candidates are simply skipped; provisional
-// cluster ids are hub vertex ids, renumbered to [0, K) in a sequential
-// O(|V|) pass afterwards. Coarse-graph construction gives each worker a
-// private edge region merged by prefix-sum scan.
+// The walk of stage 2 makes v a hub (a cluster founder) exactly when no
+// earlier neighbour it may merge with is one, so the hubs are the
+// lexicographically-first maximal independent set of those pairs in that
+// order (Blelloch, Fineman, Gibbons, Shun, PPoPP 2012), and map_level
+// decides it in parallel rounds. Deviation from the paper: Section 3.2.2
+// claims vertices by CAS races instead, so its hierarchy depends on thread
+// timing (its Table 4 treats tau=1 and tau=32 as one quality class).
+// Coarse-graph construction gives each worker a private edge region merged
+// by prefix-sum scan, as in Section 3.2.2.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "gosh/coarsening/hierarchy.hpp"
@@ -37,35 +39,25 @@ struct CoarseningConfig {
   /// Abort coarsening when a level shrinks less than this fraction; keeps
   /// expander-like graphs from looping at |V_{i+1}| == |V_i|.
   double min_shrink = 0.01;
-  /// 1 => sequential Algorithm 4; >1 => parallel MultiEdgeCollapse with
-  /// that many workers; 0 => all hardware workers.
-  unsigned threads = 1;
-  /// Dynamic-scheduling batch size for the parallel passes ("small batch
-  /// sizes", Section 3.2.2).
-  std::size_t batch_size = 256;
+  /// Workers for the map and the coarse-graph build; 0 => every worker.
+  unsigned threads = 0;
 };
 
 /// Result of mapping one level.
 struct LevelMapping {
-  /// Cluster id per vertex, already renumbered to [0, num_clusters).
+  /// Cluster id per vertex, in [0, num_clusters).
   std::vector<vid_t> map;
   vid_t num_clusters = 0;
 };
 
-/// Stage 2 only, sequential (deterministic; matches Algorithm 4 line by
-/// line).
-LevelMapping map_level_sequential(const graph::Graph& graph);
-
-/// Stage 2 only, parallel (lock-free claims; nondeterministic tie-breaks,
-/// same quality class — Table 4 of the paper quantifies the difference).
-LevelMapping map_level_parallel(const graph::Graph& graph, unsigned threads,
-                                std::size_t batch_size);
+/// Stage 2: Algorithm 4's mapping, on `threads` workers (0 => every
+/// worker). The output does not depend on `threads`.
+LevelMapping map_level(const graph::Graph& graph, unsigned threads);
 
 /// Stage 3: coarse CSR from a level mapping. Sorted, dedup'd adjacency;
 /// intra-cluster edges dropped. `threads` as in CoarseningConfig.
 graph::Graph build_coarse_graph(const graph::Graph& graph,
-                                const LevelMapping& mapping, unsigned threads,
-                                std::size_t batch_size);
+                                const LevelMapping& mapping, unsigned threads);
 
 /// Full multilevel driver: iterates map+build until the threshold, shrink
 /// stall, or level cap is hit. graphs_[0] is `original`.

@@ -18,7 +18,6 @@ GoshConfig preset(double p, float lr, unsigned e_normal, unsigned e_large,
   config.train.learning_rate = lr;
   config.total_epochs = large_scale ? e_large : e_normal;
   config.enable_coarsening = coarsen;
-  config.coarsening.threads = 0;  // parallel coarsening by default
   return config;
 }
 

@@ -43,9 +43,8 @@ const Pairs kApiSamples = {
     {"positive-sampling", "ppr"},  {"seed", "7"},
     {"device-mib", "64"},          {"workers", "3"},
     {"memory-fraction", "0.5"},    {"coarsening", "false"},
-    {"coarsening-threshold", "50"}, {"coarsening-threads", "2"},
-    {"pgpu", "4"},                 {"sgpu", "6"},
-    {"batch", "9"},
+    {"coarsening-threshold", "50"}, {"pgpu", "4"},
+    {"sgpu", "6"},                 {"batch", "9"},
     {"mile-levels", "3"},          {"mile-refinement", "1"},
     {"verse-similarity", "adjacency"}, {"verse-lr", "0.01"},
 };
@@ -197,7 +196,7 @@ TEST(OptionTables, KeySetsMatchTheirLiteralLists) {
     }
   }
   expect_key_sets(net::NetOptions::table(), net, {"no-verify"});
-  EXPECT_EQ(kApiSamples.size(), 33u);
+  EXPECT_EQ(kApiSamples.size(), 32u);
   EXPECT_EQ(kServeSamples.size(), 33u);
   EXPECT_EQ(kNetSamples.size(), 23u);
 }

@@ -1,17 +1,49 @@
 // MultiEdgeCollapse invariants: mapping validity, the hub-exclusion rule,
-// coarse-graph construction, hierarchy termination, and sequential/parallel
-// agreement on quality-class metrics.
+// coarse-graph construction, hierarchy termination, and the contract that
+// every level equals Algorithm 4's at any thread count.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gosh/coarsening/multi_edge_collapse.hpp"
+#include "gosh/coarsening/order.hpp"
 #include "gosh/graph/builder.hpp"
 #include "gosh/graph/generators.hpp"
 #include "gosh/graph/ops.hpp"
 
 namespace gosh::coarsen {
 namespace {
+
+/// Algorithm 4 as the paper states it: walk the degree order; an unmapped
+/// vertex founds the next cluster and pulls in every unmapped neighbour
+/// unless both degrees exceed delta = |E|/|V|.
+LevelMapping algorithm4(const graph::Graph& g) {
+  const double delta = g.average_degree();
+  LevelMapping m;
+  m.map.assign(g.num_vertices(), kInvalidVertex);
+  for (const vid_t v : degree_order_descending(g)) {
+    if (m.map[v] != kInvalidVertex) continue;
+    m.map[v] = m.num_clusters;
+    for (const vid_t u : g.neighbors(v)) {
+      const bool eligible = g.degree(v) <= delta || g.degree(u) <= delta;
+      if (eligible && m.map[u] == kInvalidVertex) m.map[u] = m.num_clusters;
+    }
+    ++m.num_clusters;
+  }
+  return m;
+}
+
+/// Two hubs (0 and 1) joined by an edge, each with 20 leaves; delta =
+/// 82/42 ~ 1.95 and deg(0) = deg(1) = 21 > delta.
+graph::Graph two_hubs() {
+  std::vector<graph::Edge> edges = {{0, 1}};
+  for (vid_t leaf = 2; leaf < 22; ++leaf) edges.push_back({0, leaf});
+  for (vid_t leaf = 22; leaf < 42; ++leaf) edges.push_back({1, leaf});
+  return graph::build_csr(42, std::move(edges));
+}
 
 /// Checks the structural contract of any level mapping.
 void expect_valid_mapping(const graph::Graph& g, const LevelMapping& m) {
@@ -48,9 +80,12 @@ void expect_clusters_locally_connected(const graph::Graph& g,
   }
 }
 
+// The MapSequential checks hold for map_level on one worker and on four.
 TEST(MapSequential, StarCollapsesToOneCluster) {
-  const auto m = map_level_sequential(graph::star_graph(50));
-  EXPECT_EQ(m.num_clusters, 1u);
+  for (const unsigned threads : {1u, 4u}) {
+    const auto m = map_level(graph::star_graph(50), threads);
+    EXPECT_EQ(m.num_clusters, 1u) << threads << " threads";
+  }
 }
 
 TEST(MapSequential, CycleShrinksByClusters) {
@@ -58,10 +93,12 @@ TEST(MapSequential, CycleShrinksByClusters) {
   // admits every merge and clusters absorb both neighbours of their seed:
   // roughly |V|/3 clusters.
   const auto g = graph::cycle_graph(99);
-  const auto m = map_level_sequential(g);
-  expect_valid_mapping(g, m);
-  EXPECT_LT(m.num_clusters, 55u);
-  EXPECT_GE(m.num_clusters, 33u);
+  for (const unsigned threads : {1u, 4u}) {
+    const auto m = map_level(g, threads);
+    expect_valid_mapping(g, m);
+    EXPECT_LT(m.num_clusters, 55u) << threads << " threads";
+    EXPECT_GE(m.num_clusters, 33u) << threads << " threads";
+  }
 }
 
 TEST(MapSequential, PathStallsOnHubExclusion) {
@@ -70,60 +107,65 @@ TEST(MapSequential, PathStallsOnHubExclusion) {
   // This degenerate stall is exactly why the driver has the min_shrink
   // guard — and why the paper's Table 4 coarsest levels sit well above
   // the threshold of 100.
-  const auto m = map_level_sequential(graph::path_graph(100));
-  EXPECT_EQ(m.num_clusters, 98u);
+  for (const unsigned threads : {1u, 4u}) {
+    const auto m = map_level(graph::path_graph(100), threads);
+    EXPECT_EQ(m.num_clusters, 98u) << threads << " threads";
+  }
 }
 
 TEST(MapSequential, HubExclusionRule) {
-  // Two hubs (0 and 1) joined by an edge, each with many leaves. Without
-  // the rule they merge into one cluster; with it they must not.
-  std::vector<graph::Edge> edges = {{0, 1}};
-  for (vid_t leaf = 2; leaf < 22; ++leaf) edges.push_back({0, leaf});
-  for (vid_t leaf = 22; leaf < 42; ++leaf) edges.push_back({1, leaf});
-  graph::Graph g = graph::build_csr(42, std::move(edges));
-  // delta = 82/42 ~ 1.95; deg(0) = deg(1) = 21 > delta.
-  const auto m = map_level_sequential(g);
-  EXPECT_NE(m.map[0], m.map[1]) << "two hubs merged despite the rule";
+  // Without the rule the two hubs merge into one cluster; with it they
+  // must not.
+  const graph::Graph g = two_hubs();
+  for (const unsigned threads : {1u, 4u}) {
+    const auto m = map_level(g, threads);
+    EXPECT_NE(m.map[0], m.map[1])
+        << "two hubs merged despite the rule at " << threads << " threads";
+  }
 }
 
 TEST(MapSequential, LeavesJoinHubs) {
   const auto g = graph::star_graph(20);
-  const auto m = map_level_sequential(g);
-  for (vid_t v = 1; v < 20; ++v) EXPECT_EQ(m.map[v], m.map[0]);
+  for (const unsigned threads : {1u, 4u}) {
+    const auto m = map_level(g, threads);
+    for (vid_t v = 1; v < 20; ++v) EXPECT_EQ(m.map[v], m.map[0]);
+  }
 }
 
 TEST(MapSequential, Deterministic) {
   graph::Graph g = graph::rmat(10, 4000, 9);
-  const auto a = map_level_sequential(g);
-  const auto b = map_level_sequential(g);
+  const auto a = map_level(g, 1);
+  const auto b = map_level(g, 1);
+  const auto c = map_level(g, 4);
   EXPECT_EQ(a.map, b.map);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
+  EXPECT_EQ(a.map, c.map);
+  EXPECT_EQ(a.num_clusters, c.num_clusters);
 }
 
 class MapValidityTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MapValidityTest, SequentialInvariantsOnRmat) {
   graph::Graph g = graph::rmat(11, 8000, GetParam());
-  const auto m = map_level_sequential(g);
+  const auto m = map_level(g, 1);
   expect_valid_mapping(g, m);
   expect_clusters_locally_connected(g, m);
 }
 
 TEST_P(MapValidityTest, ParallelInvariantsOnRmat) {
   graph::Graph g = graph::rmat(11, 8000, GetParam());
-  const auto m = map_level_parallel(g, 4, 64);
+  const auto m = map_level(g, 4);
   expect_valid_mapping(g, m);
   expect_clusters_locally_connected(g, m);
 }
 
 TEST_P(MapValidityTest, ParallelShrinkComparableToSequential) {
   graph::Graph g = graph::rmat(11, 8000, GetParam());
-  const auto seq = map_level_sequential(g);
-  const auto par = map_level_parallel(g, 4, 64);
-  // Same quality class: cluster counts within 2x of each other (paper
-  // Table 4 reports near-identical levels for tau=1 vs tau=32).
-  EXPECT_LT(par.num_clusters, seq.num_clusters * 2);
-  EXPECT_GT(par.num_clusters, seq.num_clusters / 2);
+  const auto seq = map_level(g, 1);
+  const auto par = map_level(g, 4);
+  // One map at any thread count, not just one quality class.
+  EXPECT_EQ(par.num_clusters, seq.num_clusters);
+  EXPECT_EQ(par.map, seq.map);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapValidityTest,
@@ -137,7 +179,7 @@ TEST(CoarseGraph, CollapsesMultiEdgesAndLoops) {
   LevelMapping m;
   m.map = {0, 0, 0, 1, 1, 1};
   m.num_clusters = 2;
-  graph::Graph coarse = build_coarse_graph(g, m, 1, 16);
+  graph::Graph coarse = build_coarse_graph(g, m, 1);
   EXPECT_EQ(coarse.num_vertices(), 2u);
   EXPECT_EQ(coarse.num_arcs(), 2u);  // one undirected edge
   EXPECT_TRUE(graph::has_arc(coarse, 0, 1));
@@ -146,8 +188,8 @@ TEST(CoarseGraph, CollapsesMultiEdgesAndLoops) {
 
 TEST(CoarseGraph, PreservesInterClusterConnectivity) {
   graph::Graph g = graph::rmat(9, 2000, 12);
-  const auto m = map_level_sequential(g);
-  graph::Graph coarse = build_coarse_graph(g, m, 1, 16);
+  const auto m = map_level(g, 1);
+  graph::Graph coarse = build_coarse_graph(g, m, 1);
   // Exhaustive cross-check: coarse arc (a,b) exists iff some fine arc
   // crosses the (a,b) cluster pair.
   std::set<std::pair<vid_t, vid_t>> expected;
@@ -165,9 +207,9 @@ TEST(CoarseGraph, PreservesInterClusterConnectivity) {
 
 TEST(CoarseGraph, ParallelMatchesSequentialConstruction) {
   graph::Graph g = graph::rmat(10, 4000, 13);
-  const auto m = map_level_sequential(g);
-  graph::Graph seq = build_coarse_graph(g, m, 1, 16);
-  graph::Graph par = build_coarse_graph(g, m, 4, 16);
+  const auto m = map_level(g, 1);
+  graph::Graph seq = build_coarse_graph(g, m, 1);
+  graph::Graph par = build_coarse_graph(g, m, 4);
   EXPECT_EQ(seq, par);  // same mapping => identical CSR
 }
 
@@ -244,6 +286,75 @@ TEST(Hierarchy, ParallelDriverProducesValidLevels) {
     }
   }
 }
+
+/// The contract inputs, by name: rmat1..rmat8 (seeds 1-8), an LFR graph
+/// of 2^14 vertices, a star, a path, a 2^14 cycle (every degree equals
+/// delta, so ties fall in id order and the parallel map needs the most
+/// rounds), a 128x128 grid, a clique and the two-hub graph.
+graph::Graph contract_input(const std::string& name) {
+  if (name.rfind("rmat", 0) == 0) {
+    return graph::rmat(11, 8000, std::stoull(name.substr(4)));
+  }
+  if (name == "lfr") return graph::lfr_like(1u << 14, {}, 5);
+  if (name == "star") return graph::star_graph(50);
+  if (name == "path") return graph::path_graph(100);
+  if (name == "cycle") return graph::cycle_graph(1u << 14);
+  if (name == "grid") return graph::grid_graph(128, 128);
+  if (name == "clique") return graph::complete_graph(64);
+  return two_hubs();
+}
+
+class Algorithm4Contract : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Algorithm4Contract, EveryLevelMatchesAtAnyThreadCount) {
+  const graph::Graph input = contract_input(GetParam());
+  CoarseningConfig config;
+  config.threshold = 2;  // the small inputs coarsen too
+
+  // Algorithm 4's hierarchy under multi_edge_collapse's stopping rules,
+  // with each coarse graph built from the set of crossing arcs.
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(input);
+  std::vector<std::vector<vid_t>> maps;
+  while (graphs.size() < config.max_levels &&
+         graphs.back().num_vertices() > config.threshold) {
+    const graph::Graph& fine = graphs.back();
+    LevelMapping m = algorithm4(fine);
+    if (1.0 - static_cast<double>(m.num_clusters) / fine.num_vertices() <
+        config.min_shrink) {
+      break;
+    }
+    std::vector<graph::Edge> arcs;
+    for (vid_t v = 0; v < fine.num_vertices(); ++v) {
+      for (const vid_t u : fine.neighbors(v)) {
+        arcs.push_back({m.map[v], m.map[u]});
+      }
+    }
+    graphs.push_back(graph::build_csr(m.num_clusters, std::move(arcs)));
+    maps.push_back(std::move(m.map));
+  }
+
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    config.threads = threads;
+    const Hierarchy h = multi_edge_collapse(input, config);
+    ASSERT_EQ(h.depth(), graphs.size()) << threads << " threads";
+    for (std::size_t i = 0; i + 1 < h.depth(); ++i) {
+      ASSERT_TRUE(h.map(i) == maps[i])
+          << "level " << i << " map at " << threads << " threads";
+      ASSERT_TRUE(h.graph(i + 1) == graphs[i + 1])
+          << "level " << i + 1 << " graph at " << threads << " threads";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, Algorithm4Contract,
+    ::testing::Values("rmat1", "rmat2", "rmat3", "rmat4", "rmat5", "rmat6",
+                      "rmat7", "rmat8", "lfr", "star", "path", "cycle", "grid",
+                      "clique", "two_hubs"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace gosh::coarsen

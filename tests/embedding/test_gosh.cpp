@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "gosh/simt/device.hpp"
 
 namespace gosh {
 namespace {
@@ -180,6 +182,44 @@ TEST(GoshEmbed, CoarseningImprovesSmallBudgetQuality) {
   };
   EXPECT_GT(separation(true), 0.05f);
   EXPECT_GT(separation(false), 0.05f);
+}
+
+TEST(GoshEmbed, IdenticalAtAnyWorkerCountAndOnRepeat) {
+  // An LFR graph whose level-0 matrix is twice this host's L2, so level 0
+  // trains in blocked passes. The hierarchy depends only on the graph, and
+  // blocked and inline levels train alike at any worker count, so the
+  // whole embedding is bit-identical.
+  constexpr unsigned kDim = 128;
+  const auto n =
+      static_cast<vid_t>(2 * simt::core_l2_bytes() / (kDim * sizeof(emb_t)));
+  const graph::Graph g = graph::lfr_like(n, {}, 23);
+  const auto embed_at = [&g](unsigned workers) {
+    api::Options options;
+    EXPECT_TRUE(options.set("preset", "normal").is_ok());
+    options.backend = "auto";
+    options.train().dim = kDim;
+    options.gosh.total_epochs = 10;
+    options.device.workers = workers;
+    return must_embed(g, options);
+  };
+
+  const api::EmbedResult first = embed_at(1);
+  ASSERT_FALSE(first.levels.empty());
+  EXPECT_GT(first.levels[0].blocked_parts, 0u);
+  EXPECT_GT(first.levels.size(), 1u);
+  for (const unsigned workers : {2u, 4u, 1u}) {  // the last is a repeat
+    const api::EmbedResult again = embed_at(workers);
+    ASSERT_EQ(again.levels.size(), first.levels.size()) << workers;
+    for (std::size_t i = 0; i < first.levels.size(); ++i) {
+      EXPECT_EQ(again.levels[i].vertices, first.levels[i].vertices)
+          << "level " << i << " at " << workers << " workers";
+    }
+    ASSERT_EQ(again.embedding.size(), first.embedding.size());
+    EXPECT_EQ(std::memcmp(again.embedding.data(), first.embedding.data(),
+                          first.embedding.bytes()),
+              0)
+        << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -19,12 +19,14 @@
 // `gosh_query --help` lists every flag, grouped, with its default; each
 // is also a key=value line of an --options file. The serving flags are
 // the ones gosh_serve takes.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -231,24 +233,22 @@ int run_eval(serving::QueryService& candidate,
   std::vector<vid_t> probes(samples);
   for (vid_t& p : probes) p = rng.next_vertex(candidate.rows());
 
-  // One pass per service: recall compares the answers, the histograms
-  // collect per-request service-side timings for the p50/p99 report.
-  serving::Histogram& exact_timed = metrics.histogram(
-      "gosh_eval_exact_seconds", "Per-request exact latency during --eval");
-  serving::Histogram& candidate_timed =
-      metrics.histogram("gosh_eval_candidate_seconds",
-                        "Per-request candidate latency during --eval");
+  // One pass per service: recall compares the answers, and each side
+  // keeps its per-request service-side seconds for the latency report.
+  std::vector<double> exact_seconds, candidate_seconds;
+  exact_seconds.reserve(samples);
+  candidate_seconds.reserve(samples);
 
   double hits = 0.0, denom = 0.0;
   for (const vid_t probe : probes) {
     auto exact =
         truth.value()->serve(serving::QueryRequest::for_vertex(probe, options.k));
     if (!exact.ok()) return fail(exact.status());
-    exact_timed.observe(exact.value().seconds);
+    exact_seconds.push_back(exact.value().seconds);
     auto approx =
         candidate.serve(serving::QueryRequest::for_vertex(probe, options.k));
     if (!approx.ok()) return fail(approx.status());
-    candidate_timed.observe(approx.value().seconds);
+    candidate_seconds.push_back(approx.value().seconds);
 
     // The ground truth may hold fewer than k rows (tiny store); recall is
     // measured against what the exact scan can actually return.
@@ -268,14 +268,28 @@ int run_eval(serving::QueryService& candidate,
 
   std::printf("recall@%u: %.4f over %zu sampled rows\n", options.k, recall,
               samples);
-  const auto report = [](const char* name, const serving::Histogram& h) {
-    const double total = h.sum();
-    std::printf("%s: %.1f q/s   p50 %.3f ms   p99 %.3f ms\n", name,
-                h.count() / (total > 0 ? total : 1e-9),
-                1e3 * h.quantile(0.5), 1e3 * h.quantile(0.99));
+  // A p99 is printed only with at least kTailSamples requests beyond it
+  // (N >= 1000); a smaller run reports its slowest request as `max`.
+  constexpr std::size_t kTailSamples = 10;
+  const auto report = [](const char* name, std::vector<double> seconds) {
+    std::sort(seconds.begin(), seconds.end());
+    const std::size_t n = seconds.size();
+    const double total = std::accumulate(seconds.begin(), seconds.end(), 0.0);
+    // Linear interpolation between the closest ranks.
+    const auto percentile = [&seconds, n](double p) {
+      const double rank = p * static_cast<double>(n - 1);
+      const std::size_t lo = static_cast<std::size_t>(rank);
+      const std::size_t hi = std::min(lo + 1, n - 1);
+      return seconds[lo] + (seconds[hi] - seconds[lo]) * (rank - lo);
+    };
+    const bool has_p99 = n >= 100 * kTailSamples;
+    std::printf("%s: %.1f q/s   p50 %.3f ms   %s %.3f ms\n", name,
+                n / (total > 0 ? total : 1e-9), 1e3 * percentile(0.5),
+                has_p99 ? "p99" : "max",
+                1e3 * (has_p99 ? percentile(0.99) : seconds.back()));
   };
-  report("exact", exact_timed);
-  report("candidate", candidate_timed);
+  report("exact", std::move(exact_seconds));
+  report("candidate", std::move(candidate_seconds));
 
   if (recall < options.recall_floor) {
     std::fprintf(stderr, "error: recall %.4f below required floor %.4f\n",
