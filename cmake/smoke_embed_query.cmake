@@ -1,6 +1,7 @@
 # End-to-end tool smoke test (driven by ctest, see CMakeLists.txt):
 #   1. write a small community-structured edge list,
-#   2. gosh_embed trains it and persists a SHARDED GSHS store,
+#   2. gosh_embed trains it, persists a SHARDED GSHS store and prints its
+#      peak RSS,
 #   3. gosh_query builds the HNSW index beside the store,
 #   4. gosh_query serves vertex + raw-vector + multi-vector + filtered
 #      queries through every in-process ServiceRegistry strategy (exact,
@@ -62,6 +63,10 @@ run_step("gosh_embed -> sharded store"
          ${GOSH_EMBED} --input ${edge_file} --output ${store_file}
          --format store --rows-per-shard 20 --preset fast --dim 16
          --epochs 60 --seed 3)
+if(NOT step_output MATCHES "embedded in [^\n]* peak_rss_mib=[0-9]+\\.[0-9]")
+  message(FATAL_ERROR
+          "gosh_embed must print peak_rss_mib in its summary:\n${step_output}")
+endif()
 
 run_step("gosh_query --build-index"
          ${GOSH_QUERY} --store ${store_file} --build-index --M 8

@@ -6,23 +6,22 @@
 
 namespace gosh::coarsen {
 
-Hierarchy::Hierarchy(graph::Graph original) {
-  graphs_.push_back(std::move(original));
-}
+Hierarchy::Hierarchy(const graph::Graph& original) : borrowed_(&original) {}
+
+Hierarchy::Hierarchy(graph::Graph&& original) : owned_(std::move(original)) {}
 
 void Hierarchy::push_level(std::vector<vid_t> map, graph::Graph coarser) {
-  assert(!graphs_.empty());
-  assert(map.size() == graphs_.back().num_vertices());
+  assert(map.size() == coarsest().num_vertices());
 #ifndef NDEBUG
   for (vid_t super : map) assert(super < coarser.num_vertices());
 #endif
   maps_.push_back(std::move(map));
-  graphs_.push_back(std::move(coarser));
+  coarser_.push_back(std::move(coarser));
 }
 
 double Hierarchy::shrink_rate(std::size_t level) const {
-  const double from = graphs_.at(level).num_vertices();
-  const double to = graphs_.at(level + 1).num_vertices();
+  const double from = graph(level).num_vertices();
+  const double to = graph(level + 1).num_vertices();
   return from == 0.0 ? 0.0 : (from - to) / from;
 }
 

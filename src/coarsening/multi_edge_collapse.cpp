@@ -187,10 +187,11 @@ graph::Graph build_coarse_graph(const graph::Graph& graph,
   return graph::Graph{std::move(xadj), std::move(adj)};
 }
 
-Hierarchy multi_edge_collapse(graph::Graph original,
-                              const CoarseningConfig& config) {
-  Hierarchy hierarchy(std::move(original));
+namespace {
 
+/// Appends levels to `hierarchy` until the threshold, a shrink stall or the
+/// level cap stops it.
+Hierarchy coarsen_levels(Hierarchy hierarchy, const CoarseningConfig& config) {
   while (hierarchy.depth() < config.max_levels) {
     const graph::Graph& current = hierarchy.coarsest();
     if (current.num_vertices() <= config.threshold) break;
@@ -207,6 +208,18 @@ Hierarchy multi_edge_collapse(graph::Graph original,
     hierarchy.push_level(std::move(mapping.map), std::move(coarser));
   }
   return hierarchy;
+}
+
+}  // namespace
+
+Hierarchy multi_edge_collapse(const graph::Graph& original,
+                              const CoarseningConfig& config) {
+  return coarsen_levels(Hierarchy(original), config);
+}
+
+Hierarchy multi_edge_collapse(graph::Graph&& original,
+                              const CoarseningConfig& config) {
+  return coarsen_levels(Hierarchy(std::move(original)), config);
 }
 
 }  // namespace gosh::coarsen

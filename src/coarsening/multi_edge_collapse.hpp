@@ -60,8 +60,11 @@ graph::Graph build_coarse_graph(const graph::Graph& graph,
                                 const LevelMapping& mapping, unsigned threads);
 
 /// Full multilevel driver: iterates map+build until the threshold, shrink
-/// stall, or level cap is hit. graphs_[0] is `original`.
-Hierarchy multi_edge_collapse(graph::Graph original,
+/// stall, or level cap is hit. Level 0 is `original`, borrowed from an
+/// lvalue (it must outlive the hierarchy) and owned from an rvalue.
+Hierarchy multi_edge_collapse(const graph::Graph& original,
+                              const CoarseningConfig& config = {});
+Hierarchy multi_edge_collapse(graph::Graph&& original,
                               const CoarseningConfig& config = {});
 
 }  // namespace gosh::coarsen

@@ -2,41 +2,6 @@
 
 namespace gosh {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-namespace {
-
-/// SplitMix64 finalizer as a stateless bijection.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t stream) noexcept {
-  // Finalize each word independently before combining: mix64 is a
-  // bijection, so small (seed, stream) grids map to decorrelated values
-  // with no structural collisions of the (seed<<6 ^ stream) kind.
-  const std::uint64_t a = mix64(seed + 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t b = mix64(stream + 0x632be59bd9b4e019ULL);
-  return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
-Rng::Rng(std::uint64_t seed) noexcept {
-  // Seeding through SplitMix64 is the construction recommended by the
-  // xoshiro authors: it guarantees a nonzero state and decorrelates nearby
-  // seeds.
-  std::uint64_t sm = seed;
-  for (auto& word : s_) word = splitmix64(sm);
-}
-
 Rng Rng::split(std::uint64_t stream) const noexcept {
   // Mix the full current state with the stream id so that repeated splits
   // from the same parent with different ids are pairwise independent.

@@ -52,16 +52,22 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
   GoshResult result;
 
   // --- Stage 1: coarsening (Algorithm 2 line 1). -------------------------
+  // The hierarchy borrows `graph` as level 0 rather than copying its CSR.
   WallTimer coarsen_timer;
-  coarsen::Hierarchy hierarchy;
-  if (config.enable_coarsening) {
-    hierarchy = coarsen::multi_edge_collapse(graph, config.coarsening);
-  } else {
-    hierarchy = coarsen::Hierarchy(graph);
-  }
+  const coarsen::Hierarchy hierarchy =
+      config.enable_coarsening
+          ? coarsen::multi_edge_collapse(graph, config.coarsening)
+          : coarsen::Hierarchy(graph);
   result.coarsening_seconds = coarsen_timer.seconds();
 
   const std::size_t depth = hierarchy.depth();
+  // Every level lives in one |V_0| x d host matrix (matrix.hpp): slots[j]
+  // places level j's rows, and level 0's empty slots are the identity.
+  std::vector<std::vector<vid_t>> slots(depth);
+  for (std::size_t level = 1; level < depth; ++level) {
+    slots[level] = coarse_slots(hierarchy.map(level - 1), slots[level - 1],
+                                hierarchy.graph(level).num_vertices());
+  }
   const std::vector<unsigned> epochs = distribute_epochs(
       config.total_epochs, depth, config.smoothing_ratio);
   result.levels.resize(depth);
@@ -71,9 +77,8 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
       static_cast<double>(device.memory_capacity()) *
       config.device_memory_fraction);
 
-  EmbeddingMatrix matrix(hierarchy.coarsest().num_vertices(),
-                         config.train.dim);
-  matrix.initialize_random(config.train.seed);
+  EmbeddingMatrix matrix(graph.num_vertices(), config.train.dim);
+  matrix.initialize_random(config.train.seed, slots[depth - 1]);
 
   WallTimer training_timer;
   for (std::size_t level_plus_one = depth; level_plus_one > 0;
@@ -108,7 +113,7 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
     WallTimer level_timer;
     if (fits) {
       DeviceTrainer trainer(device, level_graph, config.train);
-      trainer.train(matrix, report.passes);
+      trainer.train(matrix, report.passes, slots[level]);
       report.blocked_parts = trainer.blocked_parts();
     } else {
       report.used_large_graph_path = true;
@@ -117,7 +122,7 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
       largegraph::LargeGraphTrainer trainer(device, level_graph, config.train,
                                             lg);
       const largegraph::LargeGraphStats stats =
-          trainer.train(matrix, report.passes);
+          trainer.train(matrix, report.passes, slots[level]);
       report.blocked_parts = stats.sub_parts;
       report.partitions = stats.num_parts;
       report.rotations = stats.rotations;
@@ -137,10 +142,12 @@ GoshResult gosh_embed(const graph::Graph& graph, simt::Device& device,
               std::to_string(report.epochs) +
               (report.used_large_graph_path ? " [partitioned]" : ""));
 
-    // Projection to the finer level (line 11).
+    // Projection to the finer level (line 11), in place; this level's
+    // slots are not needed again.
     if (level > 0) {
-      matrix = expand_embedding(
-          matrix, std::span<const vid_t>(hierarchy.map(level - 1)));
+      project_in_place(matrix, hierarchy.map(level - 1), slots[level],
+                       slots[level - 1]);
+      slots[level] = std::vector<vid_t>();
     }
   }
   result.training_seconds = training_timer.seconds();

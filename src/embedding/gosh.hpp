@@ -7,6 +7,10 @@
 //      large-graph engine (LargeGraphGPU) — then project M_i to level i-1;
 //   4. return M_0.
 //
+// Every M_i lives in one |V_0| x d host matrix, at the row slots of
+// matrix.hpp's one-matrix layout, so step 3's projection runs in place and
+// no two level-sized matrices are ever held at once.
+//
 // This is the engine layer behind the `gosh::api` facade (backends
 // "device" and "largegraph"); tools, examples, benches and tests drive it
 // through gosh/api/api.hpp.

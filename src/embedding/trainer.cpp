@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "gosh/common/sigmoid.hpp"
@@ -100,12 +101,51 @@ DeviceTrainer::DeviceTrainer(simt::Device& device, const graph::Graph& graph,
   }
 }
 
-void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs) {
-  if (matrix.rows() != graph_.num_vertices() ||
-      matrix.dim() != config_.dim) {
-    throw std::invalid_argument(
-        "DeviceTrainer: matrix shape does not match graph/config");
+void check_level_layout(const char* who, const EmbeddingMatrix& matrix,
+                        std::span<const vid_t> slots, vid_t num_vertices,
+                        unsigned dim) {
+  const std::string prefix = std::string(who) + ": ";
+  if (matrix.dim() != dim || (slots.empty() && matrix.rows() != num_vertices)) {
+    throw std::invalid_argument(prefix +
+                                "matrix shape does not match graph/config");
   }
+  if (!slots.empty() && slots.size() != num_vertices) {
+    throw std::invalid_argument(prefix + "slots must hold one row per vertex");
+  }
+  if (std::any_of(slots.begin(), slots.end(),
+                  [&matrix](vid_t slot) { return slot >= matrix.rows(); })) {
+    throw std::invalid_argument(prefix + "slot beyond the matrix's rows");
+  }
+}
+
+void upload_rows(simt::DeviceBuffer<emb_t>& buffer,
+                 const EmbeddingMatrix& matrix, std::span<const vid_t> slots,
+                 vid_t first, vid_t count) {
+  const std::span<const emb_t> host(matrix.data(), matrix.size());
+  if (slots.empty()) {
+    buffer.copy_from_host(host.subspan(std::size_t{first} * matrix.dim(),
+                                       std::size_t{count} * matrix.dim()));
+  } else {
+    buffer.gather_from_host(host, matrix.dim(), slots.subspan(first, count));
+  }
+}
+
+void download_rows(const simt::DeviceBuffer<emb_t>& buffer,
+                   EmbeddingMatrix& matrix, std::span<const vid_t> slots,
+                   vid_t first, vid_t count) {
+  const std::span<emb_t> host(matrix.data(), matrix.size());
+  if (slots.empty()) {
+    buffer.copy_to_host(host.subspan(std::size_t{first} * matrix.dim(),
+                                     std::size_t{count} * matrix.dim()));
+  } else {
+    buffer.scatter_to_host(host, matrix.dim(), slots.subspan(first, count));
+  }
+}
+
+void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs,
+                          std::span<const vid_t> slots) {
+  check_level_layout("DeviceTrainer", matrix, slots, graph_.num_vertices(),
+                     config_.dim);
   if (epochs == 0) {
     throw std::invalid_argument("DeviceTrainer: epochs must be >= 1");
   }
@@ -117,9 +157,9 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs) {
 
   // Upload M once; all epochs train in place on device (Algorithm 2
   // line 6: CopyToDevice(G_i, M_i)).
-  simt::DeviceBuffer<emb_t> matrix_device(device_, matrix.size());
-  matrix_device.copy_from_host(
-      std::span<const emb_t>(matrix.data(), matrix.size()));
+  simt::DeviceBuffer<emb_t> matrix_device(device_,
+                                          std::size_t{n} * config_.dim);
+  upload_rows(matrix_device, matrix, slots, 0, n);
 
   if (blocked_parts_ != 0) {
     train_blocked(matrix_device.data(), epochs);
@@ -134,7 +174,7 @@ void DeviceTrainer::train(EmbeddingMatrix& matrix, unsigned epochs) {
     }
   }
 
-  matrix_device.copy_to_host(std::span<emb_t>(matrix.data(), matrix.size()));
+  download_rows(matrix_device, matrix, slots, 0, n);
 }
 
 void DeviceTrainer::account_pass() {

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "gosh/embedding/matrix.hpp"
@@ -140,6 +141,26 @@ class BlockedSchedule {
   unsigned num_parts_;
 };
 
+/// Throws std::invalid_argument, naming `who`, unless `matrix` holds a
+/// level of `num_vertices` rows of `dim` floats in the one-matrix layout
+/// (matrix.hpp): with empty `slots` the matrix is the level, otherwise
+/// `slots` holds one row per vertex and each is a row of the matrix.
+void check_level_layout(const char* who, const EmbeddingMatrix& matrix,
+                        std::span<const vid_t> slots, vid_t num_vertices,
+                        unsigned dim);
+
+/// Copies level rows [first, first + count) of `matrix` into `buffer`: one
+/// contiguous copy when `slots` is empty, else a gather by slot. Either way
+/// it meters the same H2D bytes.
+void upload_rows(simt::DeviceBuffer<emb_t>& buffer,
+                 const EmbeddingMatrix& matrix, std::span<const vid_t> slots,
+                 vid_t first, vid_t count);
+
+/// The reverse of upload_rows (metered D2H).
+void download_rows(const simt::DeviceBuffer<emb_t>& buffer,
+                   EmbeddingMatrix& matrix, std::span<const vid_t> slots,
+                   vid_t first, vid_t count);
+
 /// Trains an embedding matrix against one resident graph. The matrix and
 /// the CSR both live in device memory for the lifetime of this object —
 /// the caller (the Gosh driver) has already verified they fit.
@@ -150,8 +171,11 @@ class DeviceTrainer {
 
   /// Runs `epochs` training epochs over `matrix` (Algorithm 3), the
   /// learning rate decaying over exactly those epochs. The host matrix is
-  /// uploaded once, trained on device, and downloaded at the end.
-  void train(EmbeddingMatrix& matrix, unsigned epochs);
+  /// uploaded once, trained on device, and downloaded at the end. Row v of
+  /// the level is matrix row slots[v] (row v when `slots` is empty); see
+  /// check_level_layout.
+  void train(EmbeddingMatrix& matrix, unsigned epochs,
+             std::span<const vid_t> slots = {});
 
   const TrainConfig& config() const noexcept { return config_; }
 

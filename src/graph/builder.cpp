@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "gosh/common/prefix_sum.hpp"
-
 namespace gosh::graph {
 
 Graph build_csr(vid_t num_vertices, std::vector<Edge> arcs,

@@ -304,12 +304,10 @@ LargeGraphTrainer::LargeGraphTrainer(simt::Device& device,
 }
 
 LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
-                                         unsigned epochs) {
-  if (matrix.rows() != graph_.num_vertices() ||
-      matrix.dim() != train_config_.dim) {
-    throw std::invalid_argument(
-        "LargeGraphTrainer: matrix shape does not match graph/config");
-  }
+                                         unsigned epochs,
+                                         std::span<const vid_t> slots) {
+  embedding::check_level_layout("LargeGraphTrainer", matrix, slots,
+                                graph_.num_vertices(), train_config_.dim);
   if (train_config_.negative_samples > embedding::kMaxNegativeSamples) {
     throw std::invalid_argument(
         "LargeGraphTrainer: negative_samples must be <= 64");
@@ -329,28 +327,29 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
 
   // --- Device residency state. -------------------------------------------
   // PGPU sub-matrix slots; slot_part[s] is the resident part or kNoPart.
-  std::vector<simt::DeviceBuffer<emb_t>> slots;
+  std::vector<simt::DeviceBuffer<emb_t>> submatrices;
   std::vector<unsigned> slot_part(config_.pgpu, kNoPart);
-  slots.reserve(config_.pgpu);
+  submatrices.reserve(config_.pgpu);
   for (unsigned s = 0; s < config_.pgpu; ++s) {
-    slots.emplace_back(device_, static_cast<std::size_t>(capacity) * d);
+    submatrices.emplace_back(device_, static_cast<std::size_t>(capacity) * d);
   }
 
+  // The part transfers; the copy stream's prefetch makes them too.
+  auto copy_in = [&](unsigned slot, unsigned part) {
+    embedding::upload_rows(submatrices[slot], matrix, slots,
+                           plan_.part_begin(part), plan_.part_size(part));
+  };
+  auto copy_out = [&](unsigned slot, unsigned part) {
+    embedding::download_rows(submatrices[slot], matrix, slots,
+                             plan_.part_begin(part), plan_.part_size(part));
+  };
   auto upload_part = [&](unsigned slot, unsigned part) {
-    const vid_t begin = plan_.part_begin(part);
-    const vid_t size = plan_.part_size(part);
-    slots[slot].copy_from_host(
-        std::span<const emb_t>(matrix.row(begin).data(),
-                               static_cast<std::size_t>(size) * d));
+    copy_in(slot, part);
     slot_part[slot] = part;
   };
   auto writeback_part = [&](unsigned slot) {
     if (slot_part[slot] == kNoPart) return;
-    const vid_t begin = plan_.part_begin(slot_part[slot]);
-    const vid_t size = plan_.part_size(slot_part[slot]);
-    slots[slot].copy_to_host(
-        std::span<emb_t>(matrix.row(begin).data(),
-                         static_cast<std::size_t>(size) * d));
+    copy_out(slot, slot_part[slot]);
     slot_part[slot] = kNoPart;
   };
   auto find_slot = [&](unsigned part) -> std::optional<unsigned> {
@@ -500,18 +499,8 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
             const unsigned evicted = held;
             Prefetch prefetch{slot, needed, simt::Event{}};
             copy_stream.enqueue([&, slot, evicted, needed] {
-              if (evicted != kNoPart) {
-                const vid_t begin = plan_.part_begin(evicted);
-                const vid_t size = plan_.part_size(evicted);
-                slots[slot].copy_to_host(std::span<emb_t>(
-                    matrix.row(begin).data(),
-                    static_cast<std::size_t>(size) * d));
-              }
-              const vid_t begin = plan_.part_begin(needed);
-              const vid_t size = plan_.part_size(needed);
-              slots[slot].copy_from_host(std::span<const emb_t>(
-                  matrix.row(begin).data(),
-                  static_cast<std::size_t>(size) * d));
+              if (evicted != kNoPart) copy_out(slot, evicted);
+              copy_in(slot, needed);
             });
             prefetch.done = copy_stream.record();
             pending = std::move(prefetch);
@@ -522,8 +511,8 @@ LargeGraphStats LargeGraphTrainer::train(embedding::EmbeddingMatrix& matrix,
       }
 
       PairKernelArgs args;
-      args.slot_a = slots[slot_m].data();
-      args.slot_b = slots[slot_s].data();
+      args.slot_a = submatrices[slot_m].data();
+      args.slot_b = submatrices[slot_s].data();
       args.a_begin = plan_.part_begin(m);
       args.a_size = plan_.part_size(m);
       args.b_begin = plan_.part_begin(s);

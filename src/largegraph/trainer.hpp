@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "gosh/embedding/matrix.hpp"
@@ -112,10 +113,14 @@ class LargeGraphTrainer {
                     const embedding::TrainConfig& train_config,
                     const LargeGraphConfig& config);
 
-  /// Trains `epochs` epochs (converted to rotations) over `matrix`,
-  /// which must have graph.num_vertices() rows. The host matrix is the
-  /// source of truth between part residencies; it holds the final result.
-  LargeGraphStats train(embedding::EmbeddingMatrix& matrix, unsigned epochs);
+  /// Trains `epochs` epochs (converted to rotations) over `matrix`. The
+  /// host matrix is the source of truth between part residencies; it holds
+  /// the final result. Row v of the level is matrix row slots[v] (row v
+  /// when `slots` is empty; see embedding::check_level_layout), so a part
+  /// travels as one contiguous copy at level 0 and as a row gather or
+  /// scatter above it.
+  LargeGraphStats train(embedding::EmbeddingMatrix& matrix, unsigned epochs,
+                        std::span<const vid_t> slots = {});
 
   const PartitionPlan& plan() const noexcept { return plan_; }
 

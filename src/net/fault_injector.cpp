@@ -1,23 +1,8 @@
 #include "gosh/net/fault_injector.hpp"
 
+#include "gosh/common/rng.hpp"
+
 namespace gosh::net {
-
-namespace {
-
-// splitmix64 — the trace sampler's generator; full-period, stateless per
-// draw, so a counter is the whole sequence state.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 void FaultInjector::configure(const FaultOptions& options) {
   drop_rate_.store(options.drop_rate, std::memory_order_relaxed);
@@ -33,8 +18,10 @@ void FaultInjector::configure(const FaultOptions& options) {
 
 FaultInjector::Action FaultInjector::next() noexcept {
   const std::uint64_t n = counter_.fetch_add(1, std::memory_order_relaxed);
+  // splitmix64_hash is stateless per draw, so a counter is the whole
+  // sequence state.
   const double draw = uniform01(
-      splitmix64(seed_.load(std::memory_order_relaxed) ^ n));
+      splitmix64_hash(seed_.load(std::memory_order_relaxed) ^ n));
   // One draw buckets into [drop | error | stall | none): the mix sums the
   // rates, so drop=error=0.5 means every request faults, half each way.
   double edge = drop_rate_.load(std::memory_order_relaxed);

@@ -4,7 +4,7 @@
 // acts out the drawn fault: drop the connection without a response, delay
 // then serve, answer 500, or stall until the client hangs up.
 //
-// Draws are seeded and counter-driven (splitmix64, the same generator the
+// Draws are seeded and counter-driven (splitmix64_hash, the generator the
 // trace sampler uses), so a test that configures {seed, rates} sees the
 // exact same fault sequence on every run — failure modes become provable
 // in CI instead of discovered in production. All knobs are atomics: the

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <utility>
 
+#include "gosh/common/rng.hpp"
 #include "gosh/common/timer.hpp"
 #include "gosh/net/json.hpp"
 #include "gosh/net/query_handler.hpp"
@@ -14,19 +15,6 @@
 namespace gosh::serving {
 
 namespace {
-
-// Same generator family as the chaos injector: one independent draw per
-// counter value, so backoff jitter is deterministic under a fixed seed.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t bits) noexcept {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
 
 api::Result<Endpoint> parse_endpoint(std::string_view text) {
   const std::size_t colon = text.rfind(':');
@@ -425,7 +413,9 @@ api::Result<net::HttpResponse> ReplicaSet::call(const std::string& target,
         if (next_retry_ns == 0) {
           // Full-jitter exponential backoff: uniform in [0, 5ms << n).
           const double span_ms = static_cast<double>(5u << retries_used);
-          const std::uint64_t draw = splitmix64(
+          // One independent draw per counter value, as in the chaos
+          // injector, so backoff jitter is deterministic under a seed.
+          const std::uint64_t draw = splitmix64_hash(
               options_.seed ^
               jitter_.fetch_add(1, std::memory_order_relaxed));
           next_retry_ns = now + static_cast<std::uint64_t>(

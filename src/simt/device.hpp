@@ -42,6 +42,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -196,6 +197,38 @@ class DeviceBuffer {
       std::memcpy(host.data(), data_ + offset, host.size_bytes());
     }
     device_->metrics().add_d2h(host.size_bytes());
+  }
+
+  /// Copies row rows[i] of `host`, a row-major array of `width`-element
+  /// rows, into row i of the buffer: the rows land contiguously, as one
+  /// copy_from_host of them would. Meters the bytes it copies as H2D, once
+  /// per call.
+  void gather_from_host(std::span<const T> host, std::size_t width,
+                        std::span<const vid_t> rows) {
+    assert(rows.size() * width <= count_);
+    T* out = data_;
+    for (const vid_t row : rows) {
+      assert((std::size_t{row} + 1) * width <= host.size());
+      std::memcpy(out, host.data() + std::size_t{row} * width,
+                  width * sizeof(T));
+      out += width;
+    }
+    device_->metrics().add_h2d(rows.size() * width * sizeof(T));
+  }
+
+  /// The reverse of gather_from_host: row i of the buffer goes to row
+  /// rows[i] of `host` (metered D2H, once per call).
+  void scatter_to_host(std::span<T> host, std::size_t width,
+                       std::span<const vid_t> rows) const {
+    assert(rows.size() * width <= count_);
+    const T* in = data_;
+    for (const vid_t row : rows) {
+      assert((std::size_t{row} + 1) * width <= host.size());
+      std::memcpy(host.data() + std::size_t{row} * width, in,
+                  width * sizeof(T));
+      in += width;
+    }
+    device_->metrics().add_d2h(rows.size() * width * sizeof(T));
   }
 
   T* data() noexcept { return data_; }

@@ -7,22 +7,13 @@
 #include <utility>
 
 #include "gosh/common/logging.hpp"
+#include "gosh/common/rng.hpp"
 
 namespace gosh::trace {
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/// splitmix64 — the sampler's hash and the request-id generator. Chosen
-/// for determinism, not cryptography: the same (seed, counter) always
-/// yields the same 64 bits.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 thread_local std::shared_ptr<Trace> t_current;
 thread_local std::uint32_t t_depth = 0;
@@ -75,7 +66,7 @@ void set_enabled(bool on) noexcept {
 
 std::string mint_request_id() {
   static std::atomic<std::uint64_t> counter{0};
-  const std::uint64_t bits = splitmix64(
+  const std::uint64_t bits = splitmix64_hash(
       now_ns() ^ (counter.fetch_add(1, std::memory_order_relaxed) << 32));
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "gosh-%016" PRIx64, bits);
@@ -243,8 +234,7 @@ std::shared_ptr<Trace> Tracer::begin(std::string request_id) {
   // Deterministic sampler: hash the request ordinal under the seed and
   // compare against the rate in [0, 1). Same seed + same order -> same
   // decisions, which is what the tests pin down.
-  const double roll =
-      static_cast<double>(splitmix64(options.seed ^ n) >> 11) * 0x1.0p-53;
+  const double roll = uniform01(splitmix64_hash(options.seed ^ n));
   const bool sampled = options.sample_rate >= 1.0 || roll < options.sample_rate;
   if (!sampled && options.slow_ms <= 0.0) return nullptr;
   begun_.fetch_add(1, std::memory_order_relaxed);

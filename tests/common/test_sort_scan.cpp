@@ -1,4 +1,4 @@
-// Counting sort and prefix-sum invariants.
+// Counting sort invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "gosh/common/counting_sort.hpp"
-#include "gosh/common/prefix_sum.hpp"
 #include "gosh/common/rng.hpp"
 
 namespace gosh {
@@ -54,33 +53,6 @@ TEST(CountingSort, AllEqualKeys) {
   const auto order =
       counting_sort_descending(std::span<const unsigned>(keys), 7);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);  // stability
-}
-
-TEST(PrefixSum, ExclusiveBasics) {
-  std::vector<int> values = {3, 1, 4};
-  const int total = exclusive_prefix_sum(std::span<int>(values));
-  EXPECT_EQ(total, 8);
-  EXPECT_EQ(values, (std::vector<int>{0, 3, 4}));
-}
-
-TEST(PrefixSum, EmptyReturnsZero) {
-  std::vector<int> values;
-  EXPECT_EQ(exclusive_prefix_sum(std::span<int>(values)), 0);
-}
-
-TEST(PrefixSum, MatchesManualAccumulation) {
-  Rng rng(2);
-  std::vector<std::uint64_t> values(500);
-  for (auto& v : values) v = rng.next_bounded(1000);
-  std::vector<std::uint64_t> expected(values.size());
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    expected[i] = running;
-    running += values[i];
-  }
-  const auto total = exclusive_prefix_sum(std::span<std::uint64_t>(values));
-  EXPECT_EQ(total, running);
-  EXPECT_EQ(values, expected);
 }
 
 }  // namespace

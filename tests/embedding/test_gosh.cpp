@@ -7,6 +7,10 @@
 #include <vector>
 
 #include "gosh/api/api.hpp"
+#include "gosh/coarsening/multi_edge_collapse.hpp"
+#include "gosh/embedding/gosh.hpp"
+#include "gosh/embedding/schedule.hpp"
+#include "gosh/largegraph/trainer.hpp"
 #include "gosh/simt/device.hpp"
 
 namespace gosh {
@@ -219,6 +223,101 @@ TEST(GoshEmbed, IdenticalAtAnyWorkerCountAndOnRepeat) {
                           first.embedding.bytes()),
               0)
         << workers << " workers";
+  }
+}
+
+/// Algorithm 2 as gosh_embed ran it before the one-matrix layout: one
+/// EmbeddingMatrix per level, the coarsest drawn whole, each trained level
+/// projected into a fresh finer matrix by expand_embedding.
+embedding::EmbeddingMatrix per_level_matrices(
+    const graph::Graph& g, const simt::DeviceConfig& device_config,
+    const embedding::GoshConfig& config,
+    std::vector<bool>* partitioned = nullptr) {
+  simt::Device device(device_config);
+  const coarsen::Hierarchy hierarchy =
+      coarsen::multi_edge_collapse(g, config.coarsening);
+  const std::size_t depth = hierarchy.depth();
+  const std::vector<unsigned> epochs = embedding::distribute_epochs(
+      config.total_epochs, depth, config.smoothing_ratio);
+  const auto budget = static_cast<std::size_t>(
+      static_cast<double>(device.memory_capacity()) *
+      config.device_memory_fraction);
+  embedding::EmbeddingMatrix matrix(hierarchy.coarsest().num_vertices(),
+                                    config.train.dim);
+  matrix.initialize_random(config.train.seed);
+  if (partitioned != nullptr) partitioned->assign(depth, false);
+  for (std::size_t level = depth; level-- > 0;) {
+    const graph::Graph& level_graph = hierarchy.graph(level);
+    const unsigned passes = embedding::epochs_to_passes(
+        epochs[level], level_graph.num_edges_undirected(),
+        level_graph.num_vertices());
+    if (embedding::fits_on_device(level_graph, config.train.dim, budget)) {
+      embedding::DeviceTrainer(device, level_graph, config.train)
+          .train(matrix, passes);
+    } else {
+      largegraph::LargeGraphConfig large_graph = config.large_graph;
+      large_graph.device_budget_bytes = budget;
+      largegraph::LargeGraphTrainer(device, level_graph, config.train,
+                                    large_graph)
+          .train(matrix, passes);
+      if (partitioned != nullptr) (*partitioned)[level] = true;
+    }
+    if (level > 0) {
+      matrix = embedding::expand_embedding(matrix, hierarchy.map(level - 1));
+    }
+  }
+  return matrix;
+}
+
+TEST(GoshEmbed, OneHostMatrixMatchesPerLevelMatrices) {
+  // gosh_embed keeps every level in one |V_0|-row matrix and projects in
+  // place; the embedding must be byte for byte the per-level loop's. One
+  // worker makes spread launches deterministic too.
+  embedding::GoshConfig config = embedding::gosh_normal();
+  config.train.dim = 32;
+  config.total_epochs = 40;
+  config.coarsening.threads = 1;
+  simt::DeviceConfig device_config;
+  device_config.workers = 1;
+
+  // Resident: every level trains on device in one piece.
+  {
+    const graph::Graph g = graph::lfr_like(4096, {}, 31);
+    simt::Device device(device_config);
+    const embedding::GoshResult one = embedding::gosh_embed(g, device, config);
+    ASSERT_GT(one.levels.size(), 2u);
+    for (const embedding::LevelReport& level : one.levels) {
+      ASSERT_FALSE(level.used_large_graph_path);
+    }
+    const embedding::EmbeddingMatrix reference =
+        per_level_matrices(g, device_config, config);
+    ASSERT_EQ(one.embedding.size(), reference.size());
+    EXPECT_EQ(std::memcmp(one.embedding.data(), reference.data(),
+                          reference.bytes()),
+              0);
+  }
+
+  // A small device: levels 0 and 1 go through Algorithm 5, whose part
+  // transfers gather and scatter level 1's rows by slot.
+  {
+    const graph::Graph g = graph::lfr_like(4096, {}, 32);
+    device_config.memory_bytes = 192u << 10;
+    simt::Device device(device_config);
+    const embedding::GoshResult one = embedding::gosh_embed(g, device, config);
+    ASSERT_GT(one.levels.size(), 2u);
+    std::vector<bool> partitioned;
+    const embedding::EmbeddingMatrix reference =
+        per_level_matrices(g, device_config, config, &partitioned);
+    for (std::size_t level = 0; level < one.levels.size(); ++level) {
+      EXPECT_EQ(one.levels[level].used_large_graph_path, partitioned[level]);
+    }
+    ASSERT_TRUE(partitioned[0]);
+    ASSERT_TRUE(partitioned[1]);
+    ASSERT_FALSE(partitioned.back());
+    ASSERT_EQ(one.embedding.size(), reference.size());
+    EXPECT_EQ(std::memcmp(one.embedding.data(), reference.data(),
+                          reference.bytes()),
+              0);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -251,6 +252,48 @@ TEST(Trainer, RejectsMismatchedMatrixShape) {
   EmbeddingMatrix wrong_dim(g.num_vertices(), 8);
   wrong_dim.initialize_random(14);
   EXPECT_THROW(trainer.train(wrong_dim, 5), std::invalid_argument);
+}
+
+TEST(Trainer, SlottedLevelTrainsLikeItsOwnMatrix) {
+  // A level whose rows sit at scattered slots of a larger matrix trains to
+  // the bits of its own matrix and moves the same bytes, leaving the other
+  // rows alone. Slots of the wrong count or beyond the matrix are refused.
+  const auto g = two_cliques();
+  const vid_t n = g.num_vertices();
+  TrainConfig config;
+  config.dim = 16;
+  simt::DeviceConfig device_config = test_device_config();
+  device_config.workers = 1;
+
+  simt::Device own_device(device_config);
+  EmbeddingMatrix own(n, 16);
+  own.initialize_random(21);
+  DeviceTrainer(own_device, g, config).train(own, 7);
+
+  std::vector<vid_t> slots(n);
+  for (vid_t v = 0; v < n; ++v) slots[v] = 2 * (n - 1 - v);
+  EmbeddingMatrix shared(2 * n, 16);
+  std::fill(shared.data(), shared.data() + shared.size(), 7.0f);
+  shared.initialize_random(21, slots);
+  simt::Device shared_device(device_config);
+  DeviceTrainer trainer(shared_device, g, config);
+  trainer.train(shared, 7, slots);
+  for (vid_t v = 0; v < n; ++v) {
+    ASSERT_TRUE(std::equal(own.row(v).begin(), own.row(v).end(),
+                           shared.row(slots[v]).begin()))
+        << "vertex " << v;
+    for (const float x : shared.row(slots[v] + 1)) ASSERT_EQ(x, 7.0f);
+  }
+  const auto own_traffic = own_device.metrics().snapshot();
+  const auto shared_traffic = shared_device.metrics().snapshot();
+  EXPECT_EQ(shared_traffic.h2d_bytes, own_traffic.h2d_bytes);
+  EXPECT_EQ(shared_traffic.d2h_bytes, own_traffic.d2h_bytes);
+
+  EXPECT_THROW(
+      trainer.train(shared, 7, std::span<const vid_t>(slots).first(n - 1)),
+      std::invalid_argument);
+  slots[0] = shared.rows();
+  EXPECT_THROW(trainer.train(shared, 7, slots), std::invalid_argument);
 }
 
 TEST(Trainer, RejectsZeroEpochSchedules) {

@@ -2,7 +2,9 @@
 // training end to end, partitioned-path reporting, rotation progress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -171,6 +173,52 @@ TEST(LargeTrainer, RejectsTooManyNegativeSamples) {
   embedding::EmbeddingMatrix m(g.num_vertices(), train.dim);
   m.initialize_random(46);
   EXPECT_THROW(trainer.train(m, 5), std::invalid_argument);
+}
+
+TEST(LargeTrainer, SlottedLevelTrainsLikeItsOwnMatrix) {
+  // The part transfers gather and scatter a slotted level's rows: it trains
+  // to the bits of its own matrix and moves the same bytes, leaving the
+  // other rows alone. Slots of the wrong count or beyond the matrix are
+  // refused. One worker keeps spread pair kernels deterministic.
+  simt::DeviceConfig device_config;
+  device_config.memory_bytes = 160u << 10;
+  device_config.workers = 1;
+  const auto g = graph::rmat(12, 20000, 46);
+  const vid_t n = g.num_vertices();
+  embedding::TrainConfig train;
+  train.dim = 32;
+
+  simt::Device own_device(device_config);
+  largegraph::LargeGraphTrainer own_trainer(own_device, g, train, {});
+  ASSERT_GT(own_trainer.plan().num_parts(), 1u);
+  embedding::EmbeddingMatrix own(n, train.dim);
+  own.initialize_random(46);
+  own_trainer.train(own, 12);
+
+  std::vector<vid_t> slots(n);
+  for (vid_t v = 0; v < n; ++v) slots[v] = 2 * (n - 1 - v);
+  embedding::EmbeddingMatrix shared(2 * n, train.dim);
+  std::fill(shared.data(), shared.data() + shared.size(), 7.0f);
+  shared.initialize_random(46, slots);
+  simt::Device shared_device(device_config);
+  largegraph::LargeGraphTrainer trainer(shared_device, g, train, {});
+  trainer.train(shared, 12, slots);
+  for (vid_t v = 0; v < n; ++v) {
+    ASSERT_TRUE(std::equal(own.row(v).begin(), own.row(v).end(),
+                           shared.row(slots[v]).begin()))
+        << "vertex " << v;
+    for (const float x : shared.row(slots[v] + 1)) ASSERT_EQ(x, 7.0f);
+  }
+  const auto own_traffic = own_device.metrics().snapshot();
+  const auto shared_traffic = shared_device.metrics().snapshot();
+  EXPECT_EQ(shared_traffic.h2d_bytes, own_traffic.h2d_bytes);
+  EXPECT_EQ(shared_traffic.d2h_bytes, own_traffic.d2h_bytes);
+
+  EXPECT_THROW(
+      trainer.train(shared, 12, std::span<const vid_t>(slots).first(n - 1)),
+      std::invalid_argument);
+  slots[0] = shared.rows();
+  EXPECT_THROW(trainer.train(shared, 12, slots), std::invalid_argument);
 }
 
 TEST(LargeTrainer, PairKernelsAboveL2RunOnTheWorkerPool) {

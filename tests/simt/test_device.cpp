@@ -2,6 +2,7 @@
 // launch serialization, occupancy (inline vs spread launches).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -251,6 +252,45 @@ TEST(DeviceBuffer, OffsetTransfers) {
   buffer.copy_to_host(std::span<int>(out), 8);
   EXPECT_EQ(out[0], 7);
   EXPECT_EQ(out[1], 8);
+}
+
+TEST(DeviceBuffer, RowGatherAndScatterMeterTheContiguousCopysBytes) {
+  // Ten host rows of four ints; rows 7, 2 and 5 travel.
+  constexpr std::size_t kWidth = 4;
+  std::vector<int> host(10 * kWidth);
+  for (std::size_t i = 0; i < host.size(); ++i) host[i] = static_cast<int>(i);
+  const std::vector<vid_t> rows = {7, 2, 5};
+
+  Device gathered(small_config());
+  DeviceBuffer<int> buffer(gathered, rows.size() * kWidth);
+  buffer.gather_from_host(std::span<const int>(host), kWidth, rows);
+  std::vector<int> device_rows(rows.size() * kWidth);
+  buffer.copy_to_host(std::span<int>(device_rows));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      EXPECT_EQ(device_rows[i * kWidth + j], host[rows[i] * kWidth + j]);
+    }
+  }
+  std::vector<int> scattered(host.size(), -1);
+  buffer.scatter_to_host(std::span<int>(scattered), kWidth, rows);
+  for (std::size_t v = 0; v < 10; ++v) {
+    const bool moved = std::find(rows.begin(), rows.end(), v) != rows.end();
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      EXPECT_EQ(scattered[v * kWidth + j], moved ? host[v * kWidth + j] : -1);
+    }
+  }
+
+  // The same rows as one contiguous copy each way meter the same bytes.
+  Device contiguous(small_config());
+  DeviceBuffer<int> block(contiguous, rows.size() * kWidth);
+  block.copy_from_host(std::span<const int>(host).first(rows.size() * kWidth));
+  block.copy_to_host(std::span<int>(device_rows));
+  block.copy_to_host(std::span<int>(scattered).first(rows.size() * kWidth));
+  const auto expected = contiguous.metrics().snapshot();
+  const auto actual = gathered.metrics().snapshot();
+  EXPECT_EQ(actual.h2d_bytes, expected.h2d_bytes);
+  EXPECT_EQ(actual.d2h_bytes, expected.d2h_bytes);
+  EXPECT_EQ(actual.h2d_bytes, rows.size() * kWidth * sizeof(int));
 }
 
 TEST(DeviceBuffer, MoveTransfersOwnership) {

@@ -11,6 +11,8 @@
 //
 // `gosh_embed --help` lists every flag, grouped, with its default; each
 // is also a key=value line of an --options file.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -147,10 +149,15 @@ int main(int argc, char** argv) {
     result = std::move(embedded).value();
   }
 
+  // peak_rss_mib is the process's peak resident set so far (ru_maxrss is
+  // in KiB on Linux): graph load, embedding and, with --eval, the split.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
   std::printf("backend %s: embedded in %.2f s (coarsening %.2f s, "
-              "%zu levels)\n",
+              "%zu levels) peak_rss_mib=%.1f\n",
               result.backend.c_str(), result.total_seconds,
-              result.coarsening_seconds, result.levels.size());
+              result.coarsening_seconds, result.levels.size(),
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
   // blocked_parts is K of a resident level trained in blocked passes (its
   // matrix exceeds one core's L2), S of a partitioned level whose pair
   // kernels trained in blocked sub-part tasks, 0 for any other level.
